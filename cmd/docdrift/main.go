@@ -7,9 +7,6 @@
 //     doc mentions that the DAG does not declare;
 //   - a relative markdown link in any root-level *.md or docs/*.md file
 //     points at a path that does not exist;
-//   - the "What CI holds byte-identical" table in docs/DETERMINISM.md fails
-//     to mention a worker count that the lockstep determinism test
-//     (internal/engine/determinism_test.go) actually runs;
 //   - EXPERIMENTS.md never mentions the id of an experiment that is
 //     registered in internal/experiments — a new Fig*/Table* that was never
 //     documented;
@@ -52,7 +49,6 @@ func main() {
 
 	checkPackageList(root, report)
 	checkLinks(root, report)
-	checkWorkerCounts(root, report)
 	checkExperimentIDs(root, report)
 	checkCacheKey(root, report)
 
@@ -67,7 +63,7 @@ func main() {
 }
 
 // pkgToken matches a module-local package mention like "internal/noc"; a
-// longer path ("internal/engine/parallel.go") contributes its package dir.
+// longer path ("internal/engine/remote.go") contributes its package dir.
 var pkgToken = regexp.MustCompile(`internal/[a-z0-9]+`)
 
 // checkPackageList diffs the layering table of internal/lint (the
@@ -141,67 +137,6 @@ func checkLinks(root string, report func(string, ...any)) {
 			if _, err := os.Stat(resolved); err != nil {
 				report("%s links to %s, which does not exist", rel, target)
 			}
-		}
-	}
-}
-
-const (
-	detDoc      = "docs/DETERMINISM.md"
-	lockstepSrc = "internal/engine/determinism_test.go"
-	ciTableHead = "## What CI holds byte-identical"
-)
-
-// workerMatrix matches the lockstep test's worker-matrix literal, e.g.
-// "range []int{1, 1, 2, 4, 8}".
-var workerMatrix = regexp.MustCompile(`range \[\]int\{([0-9,\s]+)\}`)
-
-// checkWorkerCounts extracts the distinct worker counts the lockstep
-// determinism test actually runs and requires the "What CI holds
-// byte-identical" table in docs/DETERMINISM.md to mention each of them, so
-// the table cannot quietly understate the coverage the test provides when
-// someone widens the worker matrix.
-func checkWorkerCounts(root string, report func(string, ...any)) {
-	src, err := os.ReadFile(filepath.Join(root, lockstepSrc))
-	if err != nil {
-		report("reading %s: %v", lockstepSrc, err)
-		return
-	}
-	m := workerMatrix.FindStringSubmatch(string(src))
-	if m == nil {
-		report("%s: no worker-matrix literal (range []int{...}); update docdrift's workerMatrix pattern", lockstepSrc)
-		return
-	}
-	seen := map[string]bool{}
-	var counts []string
-	for _, field := range strings.Split(m[1], ",") {
-		c := strings.TrimSpace(field)
-		if c != "" && !seen[c] {
-			seen[c] = true
-			counts = append(counts, c)
-		}
-	}
-	doc, err := os.ReadFile(filepath.Join(root, detDoc))
-	if err != nil {
-		report("reading %s: %v", detDoc, err)
-		return
-	}
-	section := string(doc)
-	i := strings.Index(section, ciTableHead)
-	if i < 0 {
-		report("%s has no %q section", detDoc, ciTableHead)
-		return
-	}
-	section = section[i+len(ciTableHead):]
-	if j := strings.Index(section, "\n## "); j >= 0 {
-		section = section[:j]
-	}
-	for _, c := range counts {
-		// A count must appear as a full number ("4" must not match "w4x8"'s
-		// digits of another count), delimited by any non-digit.
-		token := regexp.MustCompile(`(^|[^0-9])` + regexp.QuoteMeta(c) + `([^0-9]|$)`)
-		if !token.MatchString(section) {
-			report("%s runs the lockstep comparison at %s workers, but the %q table in %s never mentions that count",
-				lockstepSrc, c, ciTableHead, detDoc)
 		}
 	}
 }

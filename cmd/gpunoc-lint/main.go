@@ -18,9 +18,9 @@
 // waived in source with "//lint:allow <rule> <reason>" on the offending line
 // or the line above.
 //
-// The whole-program analyzers (shardsafety, hotalloc) compute reachability
-// from entry points in internal/engine; linting a sub-pattern that excludes
-// those packages turns them into no-ops, so CI always lints "./...".
+// The whole-program analyzer (hotalloc) computes reachability from entry
+// points in internal/engine; linting a sub-pattern that excludes those
+// packages turns it into a no-op, so CI always lints "./...".
 package main
 
 import (

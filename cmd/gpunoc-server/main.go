@@ -15,6 +15,10 @@
 //	                      "scale":"quick"} -> 202 queued, or 200 when cached
 //	GET  /v1/jobs/{key}  poll a submitted job
 //	GET  /v1/healthz     liveness probe
+//
+// Request bodies are capped at server.MaxRequestBytes, and a client gets
+// readHeaderTimeout to send its request headers before the connection is
+// dropped, so slow or oversized requests cannot pin connections.
 package main
 
 import (
@@ -23,10 +27,15 @@ import (
 	"net/http"
 	"os"
 	"runtime"
+	"time"
 
 	"gpunoc/internal/experiments"
 	"gpunoc/internal/server"
 )
+
+// readHeaderTimeout bounds how long a connection may take to deliver its
+// request headers.
+const readHeaderTimeout = 10 * time.Second
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
@@ -57,7 +66,8 @@ func main() {
 	defer s.Close()
 
 	fmt.Fprintf(os.Stderr, "gpunoc-server: listening on %s (cache %s, %d workers)\n", *addr, *cacheDir, n)
-	if err := http.ListenAndServe(*addr, s.Handler()); err != nil {
+	hs := &http.Server{Addr: *addr, Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout}
+	if err := hs.ListenAndServe(); err != nil {
 		fmt.Fprintf(os.Stderr, "gpunoc-server: %v\n", err)
 		os.Exit(1)
 	}

@@ -12,13 +12,11 @@ import (
 // content-addressed result cache key (internal/experiments).
 //
 // Fields that never influence simulation results are excluded, exactly
-// mirroring the set Validate ignores: ExhaustiveTick (reference mode),
-// EngineWorkers (worker-count independence is CI-enforced), and the
-// observer attachments Meter, Probes, and Telemetry.
+// mirroring the set Validate ignores: ExhaustiveTick (reference mode) and
+// the observer attachments Meter, Probes, and Telemetry.
 func (c *Config) Hash() uint64 {
 	n := *c
 	n.ExhaustiveTick = false
-	n.EngineWorkers = 0
 	n.Meter = nil
 	n.Probes = nil
 	n.Telemetry = nil

@@ -10,7 +10,6 @@ func TestHashIgnoresObserversAndWorkerKnobs(t *testing.T) {
 	a := Small()
 	b := Small()
 	b.ExhaustiveTick = true
-	b.EngineWorkers = 8
 	b.Meter = &CycleMeter{}
 	b.Probes = probe.NewRegistry()
 	if a.Hash() != b.Hash() {

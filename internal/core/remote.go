@@ -195,7 +195,6 @@ func CalibrateRemote(base config.Config, gpus, sdev, rdev int, p Params, preambl
 	if err != nil {
 		return p, err
 	}
-	defer m.Close()
 	nt, err := NewNVLinkTransmission(m, sdev, rdev, payload, cal)
 	if err != nil {
 		return p, err

@@ -9,45 +9,29 @@ import (
 )
 
 // BenchmarkEngineTick measures the per-cycle cost of the engine on the full
-// Volta topology (80 SMs, 48 slices) in the regimes the two schedulers
-// target. The activity scheduler owns the sparse end: a completely idle
-// device (fast-forwarded in O(1)) and a workload keeping 2 of 80 SMs busy.
-// The sharded parallel engine owns the dense end: all 80 SMs streaming at
-// once, measured sequentially and at 8 workers. The parallel number only
-// moves on a multi-core host — on a single-core machine the worker pool
-// degenerates to the coordinator draining its own queue, which is why the
-// 8-worker baseline entry is not gated (see BENCH_tick.json).
+// Volta topology (80 SMs, 48 slices) from the sparse end the activity
+// scheduler targets — a completely idle device (fast-forwarded in O(1)) and
+// a workload keeping 2 of 80 SMs busy — to the dense end, all 80 SMs
+// streaming at once.
 func BenchmarkEngineTick(b *testing.B) {
-	mk := func(b *testing.B, workers int) *GPU {
+	mk := func(b *testing.B) *GPU {
 		cfg := config.Volta()
 		cfg.WarpIssueJitter = 0
 		cfg.L2ServiceJitter = 0
-		cfg.EngineWorkers = workers
 		g, err := New(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Cleanup(g.Close)
 		return g
 	}
-	saturate := func(b *testing.B, g *GPU) {
-		n := g.Config().NumSMs()
-		preloadStreamers(g, n)
-		spec, _ := streamerKernel("bench", n, 1, 1<<30, true, false, g.Config().L2LineBytes)
-		if _, err := g.Launch(spec); err != nil {
-			b.Fatal(err)
-		}
-		g.RunFor(10_000) // past dispatch jitter and into steady state
-	}
-
 	b.Run("idle", func(b *testing.B) {
-		g := mk(b, 1)
+		g := mk(b)
 		b.ResetTimer()
 		g.RunFor(uint64(b.N))
 	})
 
 	b.Run("sparse-2sm", func(b *testing.B) {
-		g := mk(b, 1)
+		g := mk(b)
 		preloadStreamers(g, 2)
 		spec, _ := streamerKernel("bench", 2, 1, 1<<30, true, false, g.Config().L2LineBytes)
 		if _, err := g.Launch(spec); err != nil {
@@ -67,7 +51,6 @@ func BenchmarkEngineTick(b *testing.B) {
 		cfg := config.Volta()
 		cfg.WarpIssueJitter = 0
 		cfg.L2ServiceJitter = 0
-		cfg.EngineWorkers = 1
 		cfg.Probes = probe.NewRegistry()
 		cfg.Telemetry = telemetry.NewSampler(telemetry.DefaultWindowCycles,
 			telemetry.NewDetector(telemetry.DetectorConfig{}))
@@ -75,7 +58,6 @@ func BenchmarkEngineTick(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Cleanup(g.Close)
 		preloadStreamers(g, 2)
 		spec, _ := streamerKernel("bench", 2, 1, 1<<30, true, false, g.Config().L2LineBytes)
 		if _, err := g.Launch(spec); err != nil {
@@ -87,18 +69,14 @@ func BenchmarkEngineTick(b *testing.B) {
 	})
 
 	b.Run("saturated", func(b *testing.B) {
-		g := mk(b, 1)
-		saturate(b, g)
-		b.ResetTimer()
-		g.RunFor(uint64(b.N))
-	})
-
-	b.Run("saturated-workers8", func(b *testing.B) {
-		g := mk(b, 8)
-		if g.Workers() < 2 {
-			b.Fatalf("parallel engine did not engage (workers=%d)", g.Workers())
+		g := mk(b)
+		n := g.Config().NumSMs()
+		preloadStreamers(g, n)
+		spec, _ := streamerKernel("bench", n, 1, 1<<30, true, false, g.Config().L2LineBytes)
+		if _, err := g.Launch(spec); err != nil {
+			b.Fatal(err)
 		}
-		saturate(b, g)
+		g.RunFor(10_000) // past dispatch jitter and into steady state
 		b.ResetTimer()
 		g.RunFor(uint64(b.N))
 	})
@@ -115,12 +93,10 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 	cfg := config.Volta()
 	cfg.WarpIssueJitter = 0
 	cfg.L2ServiceJitter = 0
-	cfg.EngineWorkers = 1
 	g, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Cleanup(g.Close)
 	n := g.Config().NumSMs()
 	preloadStreamers(g, n)
 	spec, _ := streamerKernel("bench", n, 1, 1<<30, true, false, g.Config().L2LineBytes)
@@ -145,11 +121,9 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 
 	b.Run("restore", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			r, err := Restore(cfg, blob, RestoreOptions{})
-			if err != nil {
+			if _, err := Restore(cfg, blob, RestoreOptions{}); err != nil {
 				b.Fatal(err)
 			}
-			r.Close()
 		}
 	})
 }

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"testing"
 
+	"gpunoc/internal/config"
 	"gpunoc/internal/device"
 	"gpunoc/internal/link"
 	"gpunoc/internal/mem"
@@ -81,14 +82,12 @@ func TestSparseTrafficSkipsIdleComponents(t *testing.T) {
 }
 
 // TestRandomTrafficMatchesExhaustiveTick is the bit-identity regression for
-// the scheduler and the sharded parallel engine: randomized multi-kernel
-// workloads (random seeds, jitters, shapes, launch offsets, warm or cold
-// L2) are run with every component ticked every cycle (the reference),
-// under the activity scheduler, and under the parallel engine at worker
-// counts {2, 4, 8}, and every observable — final cycle, kernel timestamps,
-// per-SM clock registers and counters, per-warp latency traces, slice
-// totals, and the stats of every NoC link — must match exactly across all
-// of them.
+// the scheduler: randomized multi-kernel workloads (random seeds, jitters,
+// shapes, launch offsets, warm or cold L2) are run with every component
+// ticked every cycle (the reference) and under the activity scheduler, and
+// every observable — final cycle, kernel timestamps, per-SM clock registers
+// and counters, per-warp latency traces, slice totals, and the stats of
+// every NoC link — must match exactly.
 func TestRandomTrafficMatchesExhaustiveTick(t *testing.T) {
 	type launch struct {
 		at                   uint64
@@ -133,16 +132,11 @@ func TestRandomTrafficMatchesExhaustiveTick(t *testing.T) {
 		}
 		preload := rng.Intn(2) == 0 // cold L2 exercises the DRAM/fill/retry paths
 
-		run := func(exhaustive bool, workers int) observed {
+		run := func(exhaustive bool) observed {
 			t.Helper()
 			cfg := base
 			cfg.ExhaustiveTick = exhaustive
-			cfg.EngineWorkers = workers
 			g := mkGPU(t, cfg)
-			defer g.Close()
-			if workers >= 2 && g.Workers() < 2 {
-				t.Fatalf("EngineWorkers=%d resolved to %d workers; parallel engine not engaged", workers, g.Workers())
-			}
 			if preload {
 				preloadStreamers(g, maxWarps)
 			}
@@ -194,13 +188,63 @@ func TestRandomTrafficMatchesExhaustiveTick(t *testing.T) {
 			return o
 		}
 
-		exhaustive := run(true, 1)
-		for _, workers := range []int{1, 2, 4, 8} {
-			got := run(false, workers)
-			if !reflect.DeepEqual(got, exhaustive) {
-				t.Fatalf("round %d (seed %d, jitters %d/%d, preload %v, %d kernels): %d-worker run diverges from exhaustive reference\ngot:        %+v\nexhaustive: %+v",
-					round, base.Seed, base.WarpIssueJitter, base.L2ServiceJitter, preload, len(plan), workers, got, exhaustive)
-			}
+		exhaustive, got := run(true), run(false)
+		if !reflect.DeepEqual(got, exhaustive) {
+			t.Fatalf("round %d (seed %d, jitters %d/%d, preload %v, %d kernels): activity-driven run diverges from exhaustive reference\ngot:        %+v\nexhaustive: %+v",
+				round, base.Seed, base.WarpIssueJitter, base.L2ServiceJitter, preload, len(plan), got, exhaustive)
 		}
+	}
+}
+
+// TestSaturatedAllToAllMatchesExhaustiveTick checks the scheduler against
+// its reference under the densest traffic the device supports: every Volta
+// SM streams uncoalesced writes, so all 80 SMs, all 40 TPC muxes, every GPC
+// channel, all 48 crossbar ports, every slice, and the reply subnet carry
+// traffic at once. 10k activity-driven cycles must match the exhaustive
+// engine on every observable.
+func TestSaturatedAllToAllMatchesExhaustiveTick(t *testing.T) {
+	type observed struct {
+		Now    uint64
+		SMs    []sm.Stats
+		Slices mem.SliceStats
+		Links  []link.Stats
+	}
+	run := func(exhaustive bool) observed {
+		cfg := config.Volta()
+		cfg.Seed = 7
+		cfg.ExhaustiveTick = exhaustive
+		g := mkGPU(t, cfg)
+		warps := 2
+		preloadStreamers(g, cfg.NumSMs()*warps)
+		// Enough ops that no warp finishes within the measured window.
+		spec, _ := streamerKernel("sat", cfg.NumSMs(), warps, 1<<20, true, true, cfg.L2LineBytes)
+		if _, err := g.Launch(spec); err != nil {
+			t.Fatal(err)
+		}
+		g.RunFor(10_000)
+
+		var o observed
+		o.Now = g.Now()
+		for i := 0; i < cfg.NumSMs(); i++ {
+			o.SMs = append(o.SMs, g.SM(i).Stats())
+		}
+		o.Slices = g.Partition().Stats()
+		for i := 0; i < cfg.NumTPCs(); i++ {
+			o.Links = append(o.Links, g.Network().TPCRequestLink(i).Stats(),
+				g.Network().TPCReplyLink(i).Stats())
+		}
+		for i := 0; i < cfg.NumGPCs; i++ {
+			o.Links = append(o.Links, g.Network().GPCRequestLink(i).Stats(),
+				g.Network().GPCReplyLink(i).Stats())
+		}
+		return o
+	}
+
+	want, got := run(true), run(false)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("saturated activity-driven run diverges from the exhaustive engine")
+	}
+	if want.Slices.Served < 1000 {
+		t.Fatalf("only %d slice requests served in 10k cycles; workload is not saturating", want.Slices.Served)
 	}
 }

@@ -4,9 +4,7 @@
 // instruments, and the telemetry sampler — into one versioned snap blob
 // keyed by the configuration hash. Restore builds a fresh GPU from the same
 // configuration and loads the blob into it; the restored device then
-// replays bit-identically to a run that was never interrupted, at any
-// engine worker count (the snapshot is canonicalized to the sequential
-// shape, and sharded ticking is state-identical to sequential ticking).
+// replays bit-identically to a run that was never interrupted.
 package engine
 
 import (
@@ -107,8 +105,8 @@ func (g *GPU) EncodeState(e *snap.Encoder) error {
 }
 
 // Restore builds a GPU from cfg and loads a Snapshot blob into it. The
-// configuration must hash-match the snapshotting one (observer and worker
-// knobs — probes, telemetry, meter, EngineWorkers, ExhaustiveTick — may
+// configuration must hash-match the snapshotting one (observer and
+// reference-mode knobs — probes, telemetry, meter, ExhaustiveTick — may
 // differ; everything else must agree), or ErrConfigMismatch surfaces.
 func Restore(cfg config.Config, data []byte, opts RestoreOptions) (*GPU, error) {
 	g, err := New(cfg)
@@ -117,15 +115,12 @@ func Restore(cfg config.Config, data []byte, opts RestoreOptions) (*GPU, error) 
 	}
 	d, err := snap.NewDecoder(data, g.cfg.Hash())
 	if err != nil {
-		g.Close()
 		return nil, err
 	}
 	if err := g.RestoreState(d, opts); err != nil {
-		g.Close()
 		return nil, err
 	}
 	if err := d.Close(); err != nil {
-		g.Close()
 		return nil, err
 	}
 	return g, nil
@@ -176,8 +171,8 @@ func (g *GPU) RestoreState(d *snap.Decoder, opts RestoreOptions) error {
 		}
 	}
 	for i := range g.sms {
-		if d.Bool() {
-			g.wakeSM(i)
+		if d.Bool() && g.smSet != nil {
+			g.smSet.Wake(i)
 		}
 	}
 	if err := g.net.Restore(d); err != nil {
@@ -213,31 +208,17 @@ func (g *GPU) RestoreState(d *snap.Decoder, opts RestoreOptions) error {
 	return g.tel.Restore(d)
 }
 
-// smActive reads SM i's scheduler activity from whichever layout is live; in
-// exhaustive mode it derives the bit from Quiescent, which is exact because
-// parking is only legal when ticking is a no-op.
+// smActive reads SM i's scheduler activity; in exhaustive mode it derives
+// the bit from Quiescent, which is exact because parking is only legal when
+// ticking is a no-op.
 func (g *GPU) smActive(i int) bool {
-	switch {
-	case g.par != nil:
-		return g.par.smShards[g.cfg.GPCOfSM(i)].Active(i)
-	case g.smSet != nil:
+	if g.smSet != nil {
 		return g.smSet.Active(i)
-	default:
-		return !g.sms[i].Quiescent()
 	}
+	return !g.sms[i].Quiescent()
 }
 
-// wakeSM routes a restored activity bit into whichever layout is live.
-func (g *GPU) wakeSM(i int) {
-	switch {
-	case g.par != nil:
-		g.par.smShards[g.cfg.GPCOfSM(i)].Wake(i)
-	case g.smSet != nil:
-		g.smSet.Wake(i)
-	}
-}
-
-// encodeBoxes appends a remote outbox family (one packet list per shard).
+// encodeBoxes appends a remote outbox family (one packet list per box).
 func encodeBoxes(e *snap.Encoder, boxes [][]*packet.Packet) {
 	e.Int(len(boxes))
 	for _, box := range boxes {

@@ -55,95 +55,49 @@ func finalState(t *testing.T, g *GPU) ([]byte, []uint64) {
 // checkpoint subsystem: a run restored from a mid-traffic snapshot must be
 // bit-identical — same end-of-run snapshot bytes, same kernel durations —
 // to a run that was never interrupted, and taking the snapshot must not
-// perturb the snapshotting run either. Exercised at engine worker counts 1
-// and 4 (the snapshot canonicalizes the sharded hand-off boxes).
+// perturb the snapshotting run either.
 func TestSnapshotRestoreReplaysBitIdentically(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		cfg := snapCfg()
-		cfg.EngineWorkers = workers
+	cfg := snapCfg()
 
-		ref := mkGPU(t, cfg) // uninterrupted reference
-		defer ref.Close()
-		launchSnapWorkload(t, ref)
-
-		cut := mkGPU(t, cfg) // snapshotted mid-flight, then continues
-		defer cut.Close()
-		launchSnapWorkload(t, cut)
-
-		const snapAt = 700
-		cut.RunFor(snapAt)
-		if cut.Idle() {
-			t.Fatalf("workers=%d: no traffic in flight at cycle %d; snapshot point is not mid-traffic", workers, snapAt)
-		}
-		blob, err := cut.Snapshot()
-		if err != nil {
-			t.Fatalf("workers=%d: snapshot: %v", workers, err)
-		}
-
-		rest, err := Restore(cfg, blob, RestoreOptions{})
-		if err != nil {
-			t.Fatalf("workers=%d: restore: %v", workers, err)
-		}
-		defer rest.Close()
-		if rest.Now() != cut.Now() {
-			t.Fatalf("workers=%d: restored clock %d, want %d", workers, rest.Now(), cut.Now())
-		}
-
-		refEnd, refDurs := finalState(t, ref)
-		cutEnd, cutDurs := finalState(t, cut)
-		restEnd, restDurs := finalState(t, rest)
-
-		if !reflect.DeepEqual(refDurs, cutDurs) {
-			t.Fatalf("workers=%d: snapshotting perturbed the run: durations %v vs %v", workers, refDurs, cutDurs)
-		}
-		if !reflect.DeepEqual(refDurs, restDurs) {
-			t.Fatalf("workers=%d: restored run diverged: durations %v vs %v", workers, refDurs, restDurs)
-		}
-		if string(refEnd) != string(cutEnd) {
-			t.Fatalf("workers=%d: snapshotting perturbed the run: end-of-run snapshots differ", workers)
-		}
-		if string(refEnd) != string(restEnd) {
-			t.Fatalf("workers=%d: restored run diverged: end-of-run snapshots differ", workers)
-		}
-	}
-}
-
-// TestSnapshotRestoreAcrossWorkerCounts pins that a snapshot taken at one
-// engine worker count restores bit-identically at another: the blob is
-// canonicalized to the sequential shape and EngineWorkers is excluded from
-// the config hash.
-func TestSnapshotRestoreAcrossWorkerCounts(t *testing.T) {
-	cfg1 := snapCfg()
-	cfg1.EngineWorkers = 1
-	cfg4 := snapCfg()
-	cfg4.EngineWorkers = 4
-
-	ref := mkGPU(t, cfg1)
-	defer ref.Close()
+	ref := mkGPU(t, cfg) // uninterrupted reference
 	launchSnapWorkload(t, ref)
+
+	cut := mkGPU(t, cfg) // snapshotted mid-flight, then continues
+	launchSnapWorkload(t, cut)
+
+	const snapAt = 700
+	cut.RunFor(snapAt)
+	if cut.Idle() {
+		t.Fatalf("no traffic in flight at cycle %d; snapshot point is not mid-traffic", snapAt)
+	}
+	blob, err := cut.Snapshot()
+	if err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+
+	rest, err := Restore(cfg, blob, RestoreOptions{})
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if rest.Now() != cut.Now() {
+		t.Fatalf("restored clock %d, want %d", rest.Now(), cut.Now())
+	}
+
 	refEnd, refDurs := finalState(t, ref)
-
-	src := mkGPU(t, cfg4)
-	defer src.Close()
-	launchSnapWorkload(t, src)
-	src.RunFor(700)
-	blob, err := src.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rest, err := Restore(cfg1, blob, RestoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rest.Close()
+	cutEnd, cutDurs := finalState(t, cut)
 	restEnd, restDurs := finalState(t, rest)
 
+	if !reflect.DeepEqual(refDurs, cutDurs) {
+		t.Fatalf("snapshotting perturbed the run: durations %v vs %v", refDurs, cutDurs)
+	}
 	if !reflect.DeepEqual(refDurs, restDurs) {
-		t.Fatalf("4-worker snapshot restored at 1 worker diverged: durations %v vs %v", refDurs, restDurs)
+		t.Fatalf("restored run diverged: durations %v vs %v", refDurs, restDurs)
+	}
+	if string(refEnd) != string(cutEnd) {
+		t.Fatal("snapshotting perturbed the run: end-of-run snapshots differ")
 	}
 	if string(refEnd) != string(restEnd) {
-		t.Fatal("4-worker snapshot restored at 1 worker diverged: end-of-run snapshots differ")
+		t.Fatal("restored run diverged: end-of-run snapshots differ")
 	}
 }
 
@@ -162,7 +116,6 @@ func TestSnapshotRestoreWithProbesAndTelemetry(t *testing.T) {
 
 	refCfg, refRec := build()
 	ref := mkGPU(t, refCfg)
-	defer ref.Close()
 	launchSnapWorkload(t, ref)
 	if err := ref.RunKernels(2_000_000); err != nil {
 		t.Fatal(err)
@@ -171,7 +124,6 @@ func TestSnapshotRestoreWithProbesAndTelemetry(t *testing.T) {
 
 	cutCfg, cutRec := build()
 	cut := mkGPU(t, cutCfg)
-	defer cut.Close()
 	launchSnapWorkload(t, cut)
 	cut.RunFor(700)
 	preWindows := len(cutRec.Windows())
@@ -185,7 +137,6 @@ func TestSnapshotRestoreWithProbesAndTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rest.Close()
 	if err := rest.RunKernels(2_000_000); err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +160,6 @@ func TestSnapshotRestoreWithProbesAndTelemetry(t *testing.T) {
 // programs: their captured variables are opaque, so the snapshot must refuse.
 func TestSnapshotStepFuncProgramFails(t *testing.T) {
 	g := mkGPU(t, snapCfg())
-	defer g.Close()
 	spec := device.KernelSpec{
 		Name: "closure", Blocks: 1, WarpsPerBlock: 1,
 		New: func(b, w int) device.Program {
@@ -230,7 +180,6 @@ func TestSnapshotTraceEnabledFails(t *testing.T) {
 	cfg.Probes = probe.NewRegistry()
 	cfg.Probes.EnableTrace(0)
 	g := mkGPU(t, cfg)
-	defer g.Close()
 	if _, err := g.Snapshot(); !errors.Is(err, ErrTraceEnabled) {
 		t.Fatalf("snapshot with tracing: got %v, want ErrTraceEnabled", err)
 	}
@@ -242,7 +191,6 @@ func TestSnapshotTraceEnabledFails(t *testing.T) {
 func TestRestoreRejectsSkewAndCorruption(t *testing.T) {
 	cfg := snapCfg()
 	g := mkGPU(t, cfg)
-	defer g.Close()
 	launchSnapWorkload(t, g)
 	g.RunFor(500)
 	blob, err := g.Snapshot()

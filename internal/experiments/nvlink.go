@@ -69,7 +69,6 @@ func streamLatency(cfg *config.Config, n, target, count int) (float64, uint64, e
 	if err != nil {
 		return 0, 0, err
 	}
-	defer m.Close()
 	const window = 8192
 	base := mesh.DevBase(target) + 0x200000
 	m.Preload(target, base, window)
@@ -197,7 +196,6 @@ func NVLinkChannelXfer(cfg *config.Config, opt Options) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer m.Close()
 	tr, err := core.NewNVLinkTransmission(m, 0, 1, payload, p)
 	if err != nil {
 		return nil, err

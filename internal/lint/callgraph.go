@@ -2,7 +2,7 @@
 // go/ast + go/types (no golang.org/x/tools — the module stays
 // dependency-free). The graph is deliberately conservative: it over-
 // approximates the dynamic call relation so that reachability-based
-// analyzers (shardsafety, hotalloc) never miss a path, at the cost of some
+// analyzers (hotalloc) never miss a path, at the cost of some
 // spurious edges. Edges come from five sources:
 //
 //  1. static calls — a call whose callee resolves through types.Info to a
@@ -123,7 +123,6 @@ type CallGraph struct {
 
 	byFn        map[*types.Func]*CGNode
 	byLit       map[*ast.FuncLit]*CGNode
-	pkgOf       map[*types.Package]*Package
 	buckets     map[string][]*CGNode        // sigKey -> address-taken nodes
 	fieldFuncs  map[*types.Var][]*CGNode    // func-typed field -> stored values
 	fieldOpaque map[*types.Var]bool         // field had an unresolvable store
@@ -138,7 +137,6 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 	cg := &CallGraph{
 		byFn:        make(map[*types.Func]*CGNode),
 		byLit:       make(map[*ast.FuncLit]*CGNode),
-		pkgOf:       make(map[*types.Package]*Package),
 		buckets:     make(map[string][]*CGNode),
 		fieldFuncs:  make(map[*types.Var][]*CGNode),
 		fieldOpaque: make(map[*types.Var]bool),
@@ -150,7 +148,6 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 		if pkg.Types == nil || pkg.Info == nil {
 			continue
 		}
-		cg.pkgOf[pkg.Types] = pkg
 		scope := pkg.Types.Scope()
 		for _, name := range scope.Names() {
 			if tn, ok := scope.Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
@@ -718,15 +715,6 @@ func filterByName(fns []*types.Func, m *types.Func) []*types.Func {
 	}
 	return out
 }
-
-// NodeOf returns the node for a declared function or method object.
-func (cg *CallGraph) NodeOf(fn *types.Func) *CGNode { return cg.byFn[fn] }
-
-// LitNode returns the node for a function literal.
-func (cg *CallGraph) LitNode(lit *ast.FuncLit) *CGNode { return cg.byLit[lit] }
-
-// PackageOf maps a types package back to the loaded package.
-func (cg *CallGraph) PackageOf(p *types.Package) *Package { return cg.pkgOf[p] }
 
 // Lookup resolves a FuncRef to its node, or nil when the module has no such
 // function (analyzers treat that as "entry point absent" and go quiet; the

@@ -105,11 +105,10 @@ func TestCallGraphEdges(t *testing.T) {
 	}
 }
 
-// TestRuleTableResolves pins every reference in the shardsafety and hotalloc
-// rule tables against the real module: the analyzers skip unresolvable names
-// silently (so fixture trees stay small), which means a rename in the engine
-// would otherwise quietly turn the analysis off. This test is what fails
-// instead.
+// TestRuleTableResolves pins every hotalloc root against the real module:
+// the analyzer skips unresolvable names silently (so fixture trees stay
+// small), which means a rename in the engine would otherwise quietly turn
+// the analysis off. This test is what fails instead.
 func TestRuleTableResolves(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
@@ -121,50 +120,9 @@ func TestRuleTableResolves(t *testing.T) {
 		t.Fatal(err)
 	}
 	cg := BuildCallGraph(pkgs)
-	rules := DefaultRules()
-
-	for _, pr := range rules.ShardSafety.PhaseRoots {
-		n := cg.Lookup(pr.Func)
-		if n == nil {
-			t.Errorf("phase root %s does not resolve", pr.Func)
-			continue
-		}
-		if paramByName(n, pr.ShardParam) == nil {
-			t.Errorf("phase root %s has no parameter named %q", pr.Func, pr.ShardParam)
-		}
-	}
-	for _, ref := range rules.ShardSafety.HandoffFuncs {
-		if cg.Lookup(ref) == nil {
-			t.Errorf("hand-off function %s does not resolve", ref)
-		}
-	}
-	for _, ref := range rules.HotAlloc.Roots {
+	for _, ref := range DefaultRules().HotAlloc.Roots {
 		if cg.Lookup(ref) == nil {
 			t.Errorf("hotalloc root %s does not resolve", ref)
 		}
 	}
-
-	checkFields := func(kind string, refs []FieldRef) {
-		got := resolveFields(pkgs, refs)
-		if len(got) != len(refs) {
-			t.Errorf("%s: %d of %d field refs resolve", kind, len(got), len(refs))
-			for _, ref := range refs {
-				one := resolveFields(pkgs, []FieldRef{ref})
-				if len(one) == 0 {
-					t.Errorf("%s: %s.%s.%s does not resolve", kind, ref.Package, ref.Type, ref.Field)
-				}
-			}
-		}
-	}
-	checkFields("OwnedCollections", rules.ShardSafety.OwnedCollections)
-	checkFields("HandoffFields", rules.ShardSafety.HandoffFields)
-
-	checkTypes := func(kind string, refs []TypeRef) {
-		got := resolveTypes(pkgs, refs)
-		if len(got) != len(refs) {
-			t.Errorf("%s: %d of %d type refs resolve", kind, len(got), len(refs))
-		}
-	}
-	checkTypes("CoordinatorTypes", rules.ShardSafety.CoordinatorTypes)
-	checkTypes("PacketTypes", rules.ShardSafety.PacketTypes)
 }

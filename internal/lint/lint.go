@@ -115,7 +115,6 @@ func Analyzers() []*Analyzer {
 		tickModelAnalyzer(),
 		purityAnalyzer(),
 		godocAnalyzer(),
-		shardSafetyAnalyzer(),
 		hotAllocAnalyzer(),
 	}
 }

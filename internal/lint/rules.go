@@ -21,7 +21,6 @@ type Rules struct {
 	TickModel   TickModelRules   `json:"tick_model"`
 	Purity      PurityRules      `json:"purity"`
 	Godoc       GodocRules       `json:"godoc"`
-	ShardSafety ShardSafetyRules `json:"shard_safety"`
 	HotAlloc    HotAllocRules    `json:"hot_alloc"`
 }
 
@@ -91,12 +90,6 @@ type TickModelRules struct {
 	// AtomicAllow names types whose declaration and methods may use the
 	// banned imports — the sanctioned concurrency-safe exceptions.
 	AtomicAllow []TypeRef `json:"atomic_allow"`
-	// ParallelFiles is the engine-parallel tier: files exempted from the
-	// bans wholesale because they ARE the sanctioned parallelism — the
-	// engine's sharded worker pool, where the phase barrier lives. Listing
-	// a file here is a reviewed architectural decision, not a waiver; the
-	// rest of its package stays under the blanket ban.
-	ParallelFiles []FileRef `json:"parallel_files"`
 }
 
 // TypeRef names a type: a module-relative package dir plus a type name.
@@ -105,61 +98,10 @@ type TypeRef struct {
 	Type    string `json:"type"`
 }
 
-// FileRef names a file: a module-relative package dir plus a base filename.
-type FileRef struct {
-	Package string `json:"package"`
-	File    string `json:"file"`
-}
-
 // GodocRules configures the doc-comment check: every exported symbol in
 // scope must carry a doc comment.
 type GodocRules struct {
 	Scope Scope `json:"scope"`
-}
-
-// FieldRef names a struct field: a module-relative package dir, the struct's
-// named type, and the field name.
-type FieldRef struct {
-	Package string `json:"package"`
-	Type    string `json:"type"`
-	Field   string `json:"field"`
-}
-
-// PhaseRoot is one parallel-engine phase task: the function the worker pool
-// dispatches, plus the name of its parameter that carries the shard id. The
-// shard parameter is the analysis's trust root — the dispatch loop hands
-// each task its own index by construction, and everything the task touches
-// must be indexed by a value derived from it.
-type PhaseRoot struct {
-	Func       FuncRef `json:"func"`
-	ShardParam string  `json:"shard_param"`
-}
-
-// ShardSafetyRules configures the parallel-engine ownership check. Within
-// functions reachable from the PhaseRoots, the analyzer requires that:
-//
-//   - every indexing of an OwnedCollections field uses an index derived from
-//     the task's shard parameter (or from a packet's routing fields — packets
-//     are owned by whichever shard currently holds them);
-//   - the HandoffFields (the single-writer/single-reader outboxes) are
-//     touched only inside the HandoffFuncs, the reviewed producers and
-//     barrier-ordered drains;
-//   - no field of a CoordinatorTypes value is written (those structs belong
-//     to the coordinator between phases);
-//   - nothing is assigned to package-level state (no aliases may escape a
-//     shard task).
-type ShardSafetyRules struct {
-	PhaseRoots       []PhaseRoot `json:"phase_roots"`
-	OwnedCollections []FieldRef  `json:"owned_collections"`
-	HandoffFields    []FieldRef  `json:"handoff_fields"`
-	HandoffFuncs     []FuncRef   `json:"handoff_funcs"`
-	CoordinatorTypes []TypeRef   `json:"coordinator_types"`
-	// PacketTypes are the in-flight payload types whose fields count as
-	// shard-derived: a packet is owned by exactly one shard at a time, so
-	// routing on p.Slice or p.Tag.SM stays inside the owner's state. The
-	// hand-off containment rule plus the worker-matrix regressions pin the
-	// dynamic half of that argument.
-	PacketTypes []TypeRef `json:"packet_types"`
 }
 
 // HotAllocRules configures the steady-state allocation check: allocation
@@ -381,14 +323,6 @@ func DefaultRules() *Rules {
 				// simulation behavior.
 				{Package: "internal/config", Type: "CycleMeter"},
 			},
-			ParallelFiles: []FileRef{
-				// The engine-parallel tier: the sharded tick loop's worker
-				// pool. The phase barrier in this file is the only
-				// synchronization in the whole engine; every component it
-				// drives remains lock-free and single-owner per phase (see
-				// docs/ARCHITECTURE.md, "Parallel engine").
-				{Package: "internal/engine", File: "parallel.go"},
-			},
 		},
 		Purity: PurityRules{
 			Scope:               simulatorScope(),
@@ -400,88 +334,10 @@ func DefaultRules() *Rules {
 			// roots (package main, no API surface) are out of scope.
 			Scope: Scope{Include: []string{"", "internal/"}},
 		},
-		ShardSafety: ShardSafetyRules{
-			// The two phase tasks of the sharded tick loop
-			// (internal/engine/parallel.go). Their shard parameters are the
-			// trust roots: runPhase dispatches task i with argument i.
-			PhaseRoots: []PhaseRoot{
-				{Func: FuncRef{Package: "internal/engine", Recv: "parEngine", Name: "phaseG"}, ShardParam: "gpc"},
-				{Func: FuncRef{Package: "internal/engine", Recv: "parEngine", Name: "phaseP"}, ShardParam: "m"},
-			},
-			// Component arrays partitioned across shards: indexing one of
-			// these inside a phase must use a shard-derived index.
-			OwnedCollections: []FieldRef{
-				{Package: "internal/engine", Type: "GPU", Field: "sms"},
-				{Package: "internal/engine", Type: "parEngine", Field: "smsOfGPC"},
-				{Package: "internal/engine", Type: "parEngine", Field: "smShards"},
-				{Package: "internal/engine", Type: "remoteState", Field: "gpcOfSM"},
-				{Package: "internal/noc", Type: "Network", Field: "reqTPC"},
-				{Package: "internal/noc", Type: "Network", Field: "reqGPC"},
-				{Package: "internal/noc", Type: "Network", Field: "xbarIn"},
-				{Package: "internal/noc", Type: "Network", Field: "repGPC"},
-				{Package: "internal/noc", Type: "Network", Field: "repTPC"},
-				{Package: "internal/noc", Type: "shardState", Field: "tpcsOfGPC"},
-				{Package: "internal/noc", Type: "shardState", Field: "gpcOfSM"},
-				{Package: "internal/noc", Type: "shardState", Field: "actReqTPC"},
-				{Package: "internal/noc", Type: "shardState", Field: "actReqGPC"},
-				{Package: "internal/noc", Type: "shardState", Field: "actRepGPC"},
-				{Package: "internal/noc", Type: "shardState", Field: "actRepTPC"},
-				{Package: "internal/noc", Type: "shardState", Field: "actXbar"},
-				{Package: "internal/mem", Type: "Partition", Field: "mcs"},
-				{Package: "internal/mem", Type: "Partition", Field: "slices"},
-				{Package: "internal/mem", Type: "memShard", Field: "actMCs"},
-				{Package: "internal/mem", Type: "memShard", Field: "actSlices"},
-			},
-			// The single-writer/single-reader outboxes crossing the shard
-			// boundary (internal/noc/shard.go).
-			HandoffFields: []FieldRef{
-				{Package: "internal/noc", Type: "shardState", Field: "xbox"},
-				{Package: "internal/noc", Type: "shardState", Field: "rbox"},
-				// The cross-GPU outboxes (internal/engine/remote.go): the
-				// same single-writer idiom at the NVLink boundary — the
-				// source GPC's phase-G task fills reqOut, the partition
-				// group's phase-P task fills repOut, the mesh coordinator
-				// drains both between cycles.
-				{Package: "internal/engine", Type: "remoteState", Field: "reqOut"},
-				{Package: "internal/engine", Type: "remoteState", Field: "repOut"},
-			},
-			// The reviewed producers, barrier-ordered drains, and read-only
-			// queries — the only functions allowed to touch the outboxes.
-			HandoffFuncs: []FuncRef{
-				{Package: "internal/noc", Recv: "shardState", Name: "pushRequest"},
-				{Package: "internal/noc", Recv: "shardState", Name: "pushReply"},
-				{Package: "internal/noc", Recv: "Network", Name: "DrainReplies"},
-				{Package: "internal/noc", Recv: "Network", Name: "TickXbarShard"},
-				{Package: "internal/noc", Recv: "Network", Name: "GPCShardHasWork"},
-				{Package: "internal/noc", Recv: "Network", Name: "XbarShardHasWork"},
-				{Package: "internal/noc", Recv: "shardState", Name: "quiet"},
-				{Package: "internal/noc", Recv: "shardState", Name: "boxesEmpty"},
-				{Package: "internal/noc", Recv: "Network", Name: "EnableSharding"},
-				{Package: "internal/engine", Recv: "remoteState", Name: "pushRequest"},
-				{Package: "internal/engine", Recv: "remoteState", Name: "pushReply"},
-				{Package: "internal/engine", Recv: "remoteState", Name: "boxesEmpty"},
-				{Package: "internal/engine", Recv: "GPU", Name: "DrainRemote"},
-			},
-			// Structs owned by the coordinator between phases: a phase task
-			// may read them but never write their fields.
-			CoordinatorTypes: []TypeRef{
-				{Package: "internal/engine", Type: "GPU"},
-				{Package: "internal/engine", Type: "parEngine"},
-				{Package: "internal/engine", Type: "remoteState"},
-				{Package: "internal/noc", Type: "Network"},
-				{Package: "internal/noc", Type: "shardState"},
-				{Package: "internal/mem", Type: "Partition"},
-				{Package: "internal/mem", Type: "memShard"},
-			},
-			PacketTypes: []TypeRef{
-				{Package: "internal/packet", Type: "Packet"},
-			},
-		},
 		HotAlloc: HotAllocRules{
 			// The steady-state tick roots: the engine's per-cycle step and
 			// the component Tick methods it drives. Setup paths (New,
-			// Launch, EnableSharding) are deliberately absent — allocation
-			// there is fine.
+			// Launch) are deliberately absent — allocation there is fine.
 			Roots: []FuncRef{
 				{Package: "internal/engine", Recv: "GPU", Name: "step"},
 				{Package: "internal/link", Recv: "Link", Name: "Tick"},

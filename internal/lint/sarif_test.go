@@ -14,7 +14,7 @@ func TestSARIF(t *testing.T) {
 	root := filepath.Join(string(filepath.Separator), "mod")
 	diags := []Diagnostic{
 		{Pos: token.Position{Filename: filepath.Join(root, "internal", "noc", "noc.go"), Line: 12},
-			Rule: "shardsafety", Msg: "cross-shard write"},
+			Rule: "tickmodel", Msg: "go statement in tick-model code"},
 		{Pos: token.Position{Filename: "internal/link/link.go", Line: 3},
 			Rule: "hotalloc", Msg: "make on the tick path"},
 	}
@@ -66,7 +66,7 @@ func TestSARIF(t *testing.T) {
 	for _, r := range run.Tool.Driver.Rules {
 		ruleIDs[r.ID] = true
 	}
-	for _, want := range []string{"shardsafety", "hotalloc", "layering", "lint"} {
+	for _, want := range []string{"tickmodel", "hotalloc", "layering", "lint"} {
 		if !ruleIDs[want] {
 			t.Errorf("rule table is missing %q", want)
 		}
@@ -75,7 +75,7 @@ func TestSARIF(t *testing.T) {
 		t.Fatalf("got %d results, want 2", len(run.Results))
 	}
 	first := run.Results[0]
-	if first.RuleID != "shardsafety" || first.Level != "warning" {
+	if first.RuleID != "tickmodel" || first.Level != "warning" {
 		t.Errorf("result 0: ruleId=%q level=%q", first.RuleID, first.Level)
 	}
 	if uri := first.Locations[0].PhysicalLocation.ArtifactLocation.URI; uri != "internal/noc/noc.go" {

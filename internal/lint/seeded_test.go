@@ -104,41 +104,6 @@ func requireFinding(t *testing.T, findings []string, file, fragment string) {
 	t.Fatalf("no finding in %s containing %q; got %v", file, fragment, findings)
 }
 
-// TestSeededCrossShardTick proves shardsafety fires when a phase task ticks
-// every GPC instead of its own: the callee's shard parameter loses
-// derivedness and the owned-collection indexing inside the shard file lights
-// up. This is the exact bug class the PR 6 contract forbids.
-func TestSeededCrossShardTick(t *testing.T) {
-	root := copyModule(t)
-	mutate(t, root, "internal/engine/parallel.go",
-		"\tg.net.TickGPCShard(now, gpc)\n}",
-		"\tfor o := 0; o < pe.nG; o++ {\n\t\tg.net.TickGPCShard(now, o)\n\t}\n}")
-	findings := lintTree(t, root, "shardsafety")
-	requireFinding(t, findings, "internal/noc/shard.go", "not derived from the shard id")
-}
-
-// TestSeededHandoffOutsideDrain proves shardsafety fires when a function
-// outside the sanctioned producer/drain set touches a hand-off box.
-func TestSeededHandoffOutsideDrain(t *testing.T) {
-	root := copyModule(t)
-	mutate(t, root, "internal/noc/shard.go",
-		"func (n *Network) TickGPCShard(now uint64, g int) {\n\tsh := n.shard\n",
-		"func (n *Network) TickGPCShard(now uint64, g int) {\n\tsh := n.shard\n\tsh.rbox[0][g] = sh.rbox[0][g][:0]\n")
-	findings := lintTree(t, root, "shardsafety")
-	requireFinding(t, findings, "internal/noc/shard.go", "hand-off field rbox outside the sanctioned")
-}
-
-// TestSeededEscapeToPackageScope proves shardsafety fires when a phase task
-// writes package-level state.
-func TestSeededEscapeToPackageScope(t *testing.T) {
-	root := copyModule(t)
-	mutate(t, root, "internal/engine/parallel.go",
-		"\tg.net.TickGPCShard(now, gpc)\n}",
-		"\tg.net.TickGPCShard(now, gpc)\n\tseededDrops++\n}\n\nvar seededDrops int")
-	findings := lintTree(t, root, "shardsafety")
-	requireFinding(t, findings, "internal/engine/parallel.go", "writes package-level seededDrops")
-}
-
 // TestSeededAllocInLinkTick proves hotalloc fires on an un-waived allocation
 // inserted into the link's per-cycle Tick.
 func TestSeededAllocInLinkTick(t *testing.T) {

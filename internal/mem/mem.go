@@ -385,11 +385,6 @@ type Partition struct {
 	actSlices *sched.ActiveSet
 	actMCs    *sched.ActiveSet
 
-	// shard is non-nil after EnableSharding (see shard.go): the engine's
-	// parallel tick loop then drives the partition through TickShard, and
-	// the sequential Tick entry point is forbidden.
-	shard *memShard
-
 	sliceTicks *probe.Counter // nil when uninstrumented
 	mcTicks    *probe.Counter
 }
@@ -481,9 +476,6 @@ func (p *Partition) Preload(base, size uint64) {
 // reaches its controller next cycle, with or without the scheduler), then
 // slices.
 func (p *Partition) Tick(now uint64) {
-	if p.shard != nil {
-		panic("mem: Tick called on a sharded partition (use TickShard)")
-	}
 	if p.actMCs == nil {
 		for _, mc := range p.mcs {
 			mc.Tick(now)
@@ -527,9 +519,6 @@ func (p *Partition) Tick(now uint64) {
 // controller parked, i.e. the next Tick would do no work. Always false in
 // exhaustive mode, where nothing is ever parked.
 func (p *Partition) Quiet() bool {
-	if p.shard != nil {
-		return p.shard.quiet()
-	}
 	return p.actMCs != nil && p.actMCs.Empty() && p.actSlices.Empty()
 }
 

@@ -24,7 +24,6 @@ func BenchmarkEngineTick(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Cleanup(m.Close)
 		const window = uint64(8192)
 		for d := 0; d < 2; d++ {
 			peer := 1 - d

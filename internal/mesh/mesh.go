@@ -22,13 +22,10 @@
 // global cycle runs in a fixed order: for every device ascending — deliver
 // last cycle's inbound packets, step the device one cycle, drain its
 // outboxes onto first-hop links — then tick every fabric link in a fixed
-// build order. The per-endpoint hand-off boxes have a single writer, the
-// drain orders are canonical (see engine.DrainRemote), and the fabric is
-// ticked only from the coordinator goroutine, so the whole mesh is
-// bit-identical at any -engine-workers setting, exactly like a single
-// PR-6 engine. When every device is parked and the fabric is empty, whole
-// stretches of cycles are skipped in one jump (the same fast-forward
-// engine.RunFor performs).
+// build order. The drain orders are canonical (see engine.DrainRemote), so
+// the whole mesh is as deterministic as a single engine. When every device
+// is parked and the fabric is empty, whole stretches of cycles are skipped
+// in one jump (the same fast-forward engine.RunFor performs).
 package mesh
 
 import (
@@ -85,7 +82,7 @@ type Mesh struct {
 
 	// inbox[d] holds packets the fabric delivered for device d this cycle,
 	// consumed at the start of d's next device cycle. Appended to only by
-	// link Deliver callbacks (coordinator goroutine), reset to box[:0].
+	// link Deliver callbacks, reset to box[:0].
 	inbox [][]*packet.Packet
 
 	// drains[d] routes one of device d's outbound packets onto its

@@ -165,11 +165,3 @@ func (m *Mesh) RunKernels(budget uint64) error {
 	}
 	return nil
 }
-
-// Close releases every device's worker pool. Optional (finalizers cover
-// collection), but polite in code that builds many meshes.
-func (m *Mesh) Close() {
-	for _, g := range m.gpus {
-		g.Close()
-	}
-}

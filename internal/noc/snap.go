@@ -1,12 +1,7 @@
-// Checkpoint support for the fabric. Snapshots are canonical across engine
-// worker counts: a sharded fabric first flushes its crossbar-boundary
-// outboxes into the destination links — replaying exactly the enqueues the
-// next phase would have performed, with the original cycle stamps, so this
-// is a legal state transition, not a perturbation — and then encodes the
-// sequential shape (link queues + activity bits). Restore routes the bits
-// back into whichever active-set layout the restoring engine runs, which is
-// sound because the sharded engine is state-identical to the sequential one
-// at every worker count (docs/DETERMINISM.md).
+// Checkpoint support for the fabric. A snapshot holds every link's queues
+// plus one activity bit per link; exhaustive mode, which has no active sets,
+// derives the bit from Idle, and restore routes the bits into the restoring
+// fabric's sets, if it has any.
 package noc
 
 import (
@@ -16,32 +11,20 @@ import (
 )
 
 // Snapshot appends the fabric's mutable state — every link of the five tick
-// groups plus the canonical activity bit of each — to the encoder.
+// groups plus the activity bit of each — to the encoder.
 func (n *Network) Snapshot(e *snap.Encoder) {
-	if n.shard != nil {
-		n.flushShardBoxes()
-	}
 	e.Mark("noc")
-	for _, group := range [][]*link.Link{n.reqTPC, n.reqGPC, n.xbarIn, n.repGPC, n.repTPC} {
-		e.Int(len(group))
-		for _, l := range group {
+	groups := n.linkGroups()
+	for _, tg := range groups {
+		e.Int(len(tg.links))
+		for _, l := range tg.links {
 			l.Snapshot(e)
 		}
 	}
-	for t, l := range n.reqTPC {
-		e.Bool(activeBit(n.actReqTPC, n.shardSetReqTPC(t), t, l))
-	}
-	for g, l := range n.reqGPC {
-		e.Bool(activeBit(n.actReqGPC, n.shardSetGPC(n.shard, g, true), g, l))
-	}
-	for s, l := range n.xbarIn {
-		e.Bool(activeBit(n.actXbar, n.shardSetXbar(s), s, l))
-	}
-	for g, l := range n.repGPC {
-		e.Bool(activeBit(n.actRepGPC, n.shardSetGPC(n.shard, g, false), g, l))
-	}
-	for t, l := range n.repTPC {
-		e.Bool(activeBit(n.actRepTPC, n.shardSetRepTPC(t), t, l))
+	for _, tg := range groups {
+		for i, l := range tg.links {
+			e.Bool(activeBit(tg.set, i, l))
+		}
 	}
 }
 
@@ -49,124 +32,52 @@ func (n *Network) Snapshot(e *snap.Encoder) {
 // configuration.
 func (n *Network) Restore(d *snap.Decoder) error {
 	d.Expect("noc")
-	for _, group := range [][]*link.Link{n.reqTPC, n.reqGPC, n.xbarIn, n.repGPC, n.repTPC} {
-		if c := d.Int(); d.Err() == nil && c != len(group) {
-			return snap.Corruptf("snapshot holds %d links in a fabric group of %d", c, len(group))
+	groups := n.linkGroups()
+	for _, tg := range groups {
+		if c := d.Int(); d.Err() == nil && c != len(tg.links) {
+			return snap.Corruptf("snapshot holds %d links in a fabric group of %d", c, len(tg.links))
 		}
-		for _, l := range group {
+		for _, l := range tg.links {
 			if err := l.Restore(d); err != nil {
 				return err
 			}
 		}
 	}
-	for t := range n.reqTPC {
-		if d.Bool() {
-			wakeBit(n.actReqTPC, n.shardSetReqTPC(t), t)
-		}
-	}
-	for g := range n.reqGPC {
-		if d.Bool() {
-			wakeBit(n.actReqGPC, n.shardSetGPC(n.shard, g, true), g)
-		}
-	}
-	for s := range n.xbarIn {
-		if d.Bool() {
-			wakeBit(n.actXbar, n.shardSetXbar(s), s)
-		}
-	}
-	for g := range n.repGPC {
-		if d.Bool() {
-			wakeBit(n.actRepGPC, n.shardSetGPC(n.shard, g, false), g)
-		}
-	}
-	for t := range n.repTPC {
-		if d.Bool() {
-			wakeBit(n.actRepTPC, n.shardSetRepTPC(t), t)
+	for _, tg := range groups {
+		for i := range tg.links {
+			if d.Bool() && tg.set != nil {
+				tg.set.Wake(i)
+			}
 		}
 	}
 	return d.Err()
 }
 
-// flushShardBoxes replays the pending cross-shard hand-offs into their
-// destination links: request boxes in the TickXbarShard drain order
-// (ascending destination group, ascending source GPC), reply boxes in the
-// DrainReplies order (ascending GPC, ascending source group). Both are the
-// orders the next phases would have used, with the recorded cycle stamps,
-// so the flushed fabric is exactly the sequential engine's shape and the
-// snapshotted engine may simply keep running afterwards.
-func (n *Network) flushShardBoxes() {
-	sh := n.shard
-	for m := 0; m < sh.numGroups; m++ {
-		for g := range sh.xbox {
-			box := sh.xbox[g][m]
-			for _, x := range box {
-				n.xbarIn[x.dst].Enqueue(x.now, x.src, x.p)
-			}
-			sh.xbox[g][m] = box[:0]
-		}
-	}
-	for g := 0; g < len(sh.actReqGPC); g++ {
-		n.DrainReplies(g)
+// linkGroup pairs one link group with its active set (nil in exhaustive
+// mode).
+type linkGroup struct {
+	set   *sched.ActiveSet
+	links []*link.Link
+}
+
+// linkGroups lists the five link groups in tick order, the order their
+// activity bits are serialized in.
+func (n *Network) linkGroups() []linkGroup {
+	return []linkGroup{
+		{n.actReqTPC, n.reqTPC},
+		{n.actReqGPC, n.reqGPC},
+		{n.actXbar, n.xbarIn},
+		{n.actRepGPC, n.repGPC},
+		{n.actRepTPC, n.repTPC},
 	}
 }
 
-// shardSetReqTPC returns the sharded active set owning request-TPC link t,
-// or nil outside sharded mode.
-func (n *Network) shardSetReqTPC(t int) *sched.ActiveSet {
-	if n.shard == nil {
-		return nil
+// activeBit reads link i's activity from its group's set; in exhaustive mode
+// (no sets) it derives the bit from Idle, which is exact for simulation
+// state (parking is only legal when ticking is a no-op).
+func activeBit(set *sched.ActiveSet, i int, l *link.Link) bool {
+	if set != nil {
+		return set.Active(i)
 	}
-	return n.shard.actReqTPC[n.cfg.GPCOfTPC(t)]
-}
-
-// shardSetRepTPC returns the sharded active set owning reply-TPC link t.
-func (n *Network) shardSetRepTPC(t int) *sched.ActiveSet {
-	if n.shard == nil {
-		return nil
-	}
-	return n.shard.actRepTPC[n.cfg.GPCOfTPC(t)]
-}
-
-// shardSetGPC returns the sharded active set owning GPC g's request (req
-// true) or reply channel.
-func (n *Network) shardSetGPC(sh *shardState, g int, req bool) *sched.ActiveSet {
-	if sh == nil {
-		return nil
-	}
-	if req {
-		return sh.actReqGPC[g]
-	}
-	return sh.actRepGPC[g]
-}
-
-// shardSetXbar returns the sharded active set owning crossbar port s.
-func (n *Network) shardSetXbar(s int) *sched.ActiveSet {
-	if n.shard == nil {
-		return nil
-	}
-	return n.shard.actXbar[s/n.shard.slicesPerMC]
-}
-
-// activeBit reads link i's activity from whichever layout is live; in
-// exhaustive mode (no sets) it derives the bit from Idle, which is exact
-// for simulation state (parking is only legal when ticking is a no-op).
-func activeBit(global, shard *sched.ActiveSet, i int, l *link.Link) bool {
-	switch {
-	case shard != nil:
-		return shard.Active(i)
-	case global != nil:
-		return global.Active(i)
-	default:
-		return !l.Idle()
-	}
-}
-
-// wakeBit routes a restored activity bit into whichever layout is live.
-func wakeBit(global, shard *sched.ActiveSet, i int) {
-	switch {
-	case shard != nil:
-		shard.Wake(i)
-	case global != nil:
-		global.Wake(i)
-	}
+	return !l.Idle()
 }

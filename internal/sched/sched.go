@@ -26,25 +26,13 @@
 // emitting a reply into the return network) first ticks next cycle — again
 // matching the exhaustive schedule, where those links were ticked before the
 // packet existed.
-//
-// Under the sharded parallel engine (internal/engine/parallel.go) the same
-// tiers are tracked by per-shard ActiveSets: one set per GPC for its SMs and
-// links, one per memory-controller group for its slices and crossbar ports.
-// Each set is still indexed by the component's global id (member lists pick
-// out the shard's slice of the index space), and each is only ever touched
-// by the goroutine that owns its shard during that barrier phase — every
-// wake edge is rewired at sharding time to the owning shard's set, so an
-// individual ActiveSet never needs to be concurrency-safe. The sequential
-// engine keeps the original one-set-per-tier layout.
 package sched
 
 import "fmt"
 
 // ActiveSet tracks which members of a fixed-size component tier need to be
 // ticked. The zero value is unusable; use NewActiveSet. It is not safe for
-// concurrent use: the sequential tick loop is single-goroutine, and the
-// parallel engine gives each shard its own sets, owned by one goroutine per
-// barrier phase — no set is ever shared between concurrent tickers.
+// concurrent use; the tick loop that owns it is single-goroutine.
 type ActiveSet struct {
 	active []bool
 	n      int

@@ -13,13 +13,16 @@
 //
 //	POST /v1/jobs     submit a job; 200 with the finished status when the
 //	                  result is already cached, 202 with the queued/running
-//	                  status otherwise (resubmission is idempotent)
+//	                  status otherwise (resubmission is idempotent); 400 for
+//	                  a malformed request, 413 for a body over MaxRequestBytes,
+//	                  503 when the job queue is full
 //	GET  /v1/jobs/{key}  poll a job by cache key id
 //	GET  /v1/healthz  liveness probe
 package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -29,6 +32,14 @@ import (
 	"gpunoc/internal/config"
 	"gpunoc/internal/experiments"
 )
+
+// MaxRequestBytes bounds a POST /v1/jobs body. A valid JobRequest is a few
+// hundred bytes; anything larger is rejected with 413 before decoding ends.
+const MaxRequestBytes = 64 << 10
+
+// queueDepth is the number of submitted jobs that may wait for a worker.
+// Once it is reached, new submissions are answered 503 instead of blocking.
+const queueDepth = 1024
 
 // JobRequest is the POST /v1/jobs body. Every field is part of the cache
 // key, so two requests with equal fields name the same result.
@@ -141,7 +152,7 @@ func New(c Config) (*Server, error) {
 		configs:  cfgs,
 		registry: c.Registry,
 		jobs:     map[string]*job{},
-		queue:    make(chan *job, 1024),
+		queue:    make(chan *job, queueDepth),
 	}
 	for w := 0; w < workers; w++ {
 		s.wg.Add(1)
@@ -213,11 +224,18 @@ func (s *Server) validate(req *JobRequest) (config.Config, experiments.CacheKey,
 }
 
 // handleSubmit serves POST /v1/jobs: cache hits answer 200 synchronously,
-// anything else coalesces onto a queued job and answers 202.
+// anything else coalesces onto a queued job and answers 202, or 503 when
+// the queue has no room for a new job.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
+	r.Body = http.MaxBytesReader(w, r.Body, MaxRequestBytes)
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("decoding job: %v", err))
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, code, fmt.Sprintf("decoding job: %v", err))
 		return
 	}
 	_, key, err := s.validate(&req)
@@ -238,10 +256,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	j, exists := s.jobs[key.ID()]
 	if !exists || j.state == "failed" {
-		// Failed results are never cached, so a resubmission retries.
-		j = &job{req: req, key: key, state: "queued"}
-		s.jobs[key.ID()] = j
-		s.queue <- j
+		// Failed results are never cached, so a resubmission retries. The
+		// send must not block: workers need s.mu to publish progress, so
+		// waiting for queue room here would stall the whole service.
+		next := &job{req: req, key: key, state: "queued"}
+		select {
+		case s.queue <- next:
+			j = next
+			s.jobs[key.ID()] = j
+		default:
+			s.mu.Unlock()
+			httpError(w, http.StatusServiceUnavailable, "job queue is full; retry later")
+			return
+		}
 	}
 	st := j.status()
 	s.mu.Unlock()

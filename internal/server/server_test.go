@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"gpunoc/internal/config"
 	"gpunoc/internal/experiments"
@@ -23,7 +26,7 @@ type testHarness struct {
 
 // newHarness builds a server over a fake one-experiment registry whose run
 // function counts invocations.
-func newHarness(t *testing.T, fail bool) *testHarness {
+func newHarness(t testing.TB, fail bool) *testHarness {
 	t.Helper()
 	var calls atomic.Int64
 	reg := experiments.NewRegistry()
@@ -190,8 +193,9 @@ func TestServerFailedJobsAreRetriable(t *testing.T) {
 	}
 }
 
-// TestServerRejectsBadRequests pins the 400s: unknown config, unknown
-// experiment, bad scale, and undecodable bodies all fail fast.
+// TestServerRejectsBadRequests pins the 4xx answers: unknown config, unknown
+// experiment, bad scale, and undecodable bodies fail fast with 400, and a
+// body over MaxRequestBytes with 413.
 func TestServerRejectsBadRequests(t *testing.T) {
 	h := newHarness(t, false)
 	cases := []JobRequest{
@@ -211,6 +215,15 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("truncated body: status %d, want 400", resp.StatusCode)
+	}
+	huge := `{"config":"` + strings.Repeat("x", MaxRequestBytes) + `"}`
+	resp, err = http.Post(h.http.URL+"/v1/jobs", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body: status %d, want 413", resp.StatusCode)
 	}
 	resp, err = http.Get(h.http.URL + "/v1/jobs/doesnotexist")
 	if err != nil {
@@ -250,4 +263,143 @@ func TestServerRequiresCache(t *testing.T) {
 	if _, err := New(Config{Cache: &experiments.Cache{}}); err == nil {
 		t.Fatal("empty cache dir accepted")
 	}
+}
+
+// serveJSON drives one request through handler h in-process and decodes a
+// JobStatus from the response body when there is one.
+func serveJSON(h http.Handler, method, target string, body []byte) (JobStatus, int) {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(method, target, bytes.NewReader(body)))
+	var st JobStatus
+	_ = json.Unmarshal(rec.Body.Bytes(), &st)
+	return st, rec.Code
+}
+
+// TestServerFullQueueAnswers503 pins the overload path: with the only
+// worker held inside a running job and every queue slot taken, a new
+// submission must be refused with 503 at once. Blocking instead would hold
+// the server lock, which the worker needs to finish its job, and hang the
+// whole service.
+func TestServerFullQueueAnswers503(t *testing.T) {
+	release := make(chan struct{})
+	started := make(chan struct{}, 1)
+	reg := experiments.NewRegistry()
+	reg.MustRegister(experiments.Experiment{
+		ID: "block-exp", Title: "blocks until released", Section: "test",
+		Run: func(cfg *config.Config, opt experiments.Options) (*experiments.Figure, error) {
+			select {
+			case started <- struct{}{}:
+			default:
+			}
+			<-release
+			return &experiments.Figure{
+				ID: "block-exp", Title: "released",
+				Header: []string{"seed"},
+				Rows:   [][]string{{fmt.Sprintf("%d", opt.Seed)}},
+			}, nil
+		},
+	})
+	s, err := New(Config{Cache: &experiments.Cache{Dir: t.TempDir()}, Workers: 1, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(unblock)
+	h := s.Handler()
+	submit := func(seed int64) (JobStatus, int) {
+		body, _ := json.Marshal(JobRequest{Config: "small", Seed: seed, Experiment: "block-exp"})
+		return serveJSON(h, http.MethodPost, "/v1/jobs", body)
+	}
+	waitDone := func(key string) {
+		t.Helper()
+		deadline := time.Now().Add(30 * time.Second)
+		for time.Now().Before(deadline) {
+			if st, _ := serveJSON(h, http.MethodGet, "/v1/jobs/"+key, nil); st.State == "done" {
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+		t.Fatalf("job %s did not reach done", key)
+	}
+
+	running, code := submit(1)
+	if code != http.StatusAccepted {
+		t.Fatalf("first submission: status %d, want 202", code)
+	}
+	select {
+	case <-started:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the worker never started the first job")
+	}
+	var queued []JobStatus
+	for seed := int64(2); seed < 2+queueDepth; seed++ {
+		st, code := submit(seed)
+		if code != http.StatusAccepted {
+			t.Fatalf("filling the queue, seed %d: status %d, want 202", seed, code)
+		}
+		queued = append(queued, st)
+	}
+
+	rejected := int64(2 + queueDepth)
+	answered := make(chan int, 1)
+	go func() {
+		_, code := submit(rejected)
+		answered <- code
+	}()
+	select {
+	case code := <-answered:
+		if code != http.StatusServiceUnavailable {
+			t.Fatalf("submission to a full queue: status %d, want 503", code)
+		}
+	case <-time.After(5 * time.Second):
+		// The server is wedged; leave it running rather than close a
+		// channel a blocked handler is sending on.
+		t.Fatal("submission to a full queue blocked for 5 s instead of answering 503")
+	}
+
+	unblock()
+	waitDone(running.Key)
+	// Once the second job is done the worker has taken two jobs off the
+	// queue, so there is room again.
+	waitDone(queued[0].Key)
+	if _, code := submit(rejected); code != http.StatusAccepted {
+		t.Fatalf("resubmitting the rejected key: status %d, want 202", code)
+	}
+	s.Close()
+}
+
+// FuzzSubmitJob feeds arbitrary bodies to POST /v1/jobs. Whatever the
+// bytes, the handler must answer one of the documented statuses without
+// panicking, and an accepted job must come back with its cache key.
+func FuzzSubmitJob(f *testing.F) {
+	for _, body := range []string{
+		`{"config":"small","seed":5,"experiment":"probe-exp","scale":"quick"}`,
+		`{"config":"volta","seed":-3,"experiment":"probe-exp","scale":"full","metrics":true,"telemetry":true}`,
+		`{"config":"small","experiment":"probe-exp"} {"trailing":1}`,
+		`{"config":"nope","experiment":"probe-exp"}`,
+		`{"config":"small","experiment":"nope"}`,
+		`{"config":"small","experiment":"probe-exp","scale":"huge"}`,
+		`{"seed":"five"}`,
+		`{`,
+		`null`,
+		`[]`,
+		``,
+		`{"config":"` + strings.Repeat("x", MaxRequestBytes) + `"}`,
+	} {
+		f.Add([]byte(body))
+	}
+	h := newHarness(f, false).srv.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		st, code := serveJSON(h, http.MethodPost, "/v1/jobs", body)
+		switch code {
+		case http.StatusOK, http.StatusAccepted:
+			if st.Key == "" {
+				t.Fatalf("status %d without a job key for body %q", code, body)
+			}
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusServiceUnavailable:
+		default:
+			t.Fatalf("status %d for body %q", code, body)
+		}
+	})
 }
