@@ -1,23 +1,16 @@
 // benchcheck gates benchmark results against the checked-in baseline.
 //
 // It reads `go test -bench` output (stdin by default) and compares every
-// EngineTick and SnapshotRestore sub-benchmark against the "after" numbers
-// recorded in BENCH_tick.json, failing when a gated metric drifts outside
-// the tolerance band. Baseline entries with "gate": false are reported but
-// never enforced (the idle number is an O(1) fast-forward measured in
-// fractions of a nanosecond — pure environment noise).
+// EngineTick sub-benchmark against the "after" numbers recorded in
+// BENCH_tick.json, failing when a gated metric drifts outside the tolerance
+// band. Baseline entries with "gate": false are reported but never enforced
+// (the idle number is an O(1) fast-forward measured in fractions of a
+// nanosecond — pure environment noise).
 //
 // Usage:
 //
 //	go test ./internal/engine -run xxx -bench EngineTick -benchtime 200000x \
 //	    | go run ./cmd/benchcheck -baseline BENCH_tick.json
-//	go test ./internal/engine -run xxx -bench SnapshotRestore -benchtime 20x \
-//	    | go run ./cmd/benchcheck -baseline BENCH_tick.json
-//
-// Each invocation gates only the baseline families present in its input; a
-// family whose baseline entries have no measurements at all is an error only
-// when no other family matched (so the two commands above can run and gate
-// independently), but a partially measured family is always an error.
 //
 // A failure means either a real regression (fix it) or an intentional
 // performance change (regenerate the baseline with the commands recorded in
@@ -44,18 +37,15 @@ type baselineEntry struct {
 }
 
 type baseline struct {
-	EngineTick      map[string]baselineEntry `json:"engine_tick_ns_per_cycle"`
-	SnapshotRestore map[string]baselineEntry `json:"snapshot_restore_ns_per_op"`
+	EngineTick map[string]baselineEntry `json:"engine_tick_ns_per_cycle"`
 }
 
-// benchLine matches one result line of `go test -bench` output for the two
-// gated benchmark families, e.g.
+// benchLine matches one result line of `go test -bench` output, e.g.
 //
-//	BenchmarkEngineTick/sparse-2sm-8       200000     184.7 ns/op
-//	BenchmarkSnapshotRestore/snapshot-8        20   41234567 ns/op
+//	BenchmarkEngineTick/sparse-2sm-8   200000   184.7 ns/op
 //
 // The trailing -N is the GOMAXPROCS suffix, omitted when it is 1.
-var benchLine = regexp.MustCompile(`^Benchmark(EngineTick|SnapshotRestore)/(\S+?)(-\d+)?\s+\d+\s+([0-9.eE+-]+) ns/op`)
+var benchLine = regexp.MustCompile(`^BenchmarkEngineTick/(\S+?)(-\d+)?\s+\d+\s+([0-9.eE+-]+) ns/op`)
 
 func main() {
 	baselinePath := flag.String("baseline", "BENCH_tick.json", "baseline JSON file")
@@ -95,29 +85,10 @@ func run(baselinePath, in string, tolerance float64) error {
 	if err != nil {
 		return err
 	}
-	families := []struct {
-		name string
-		base map[string]baselineEntry
-	}{
-		{"EngineTick", base.EngineTick},
-		{"SnapshotRestore", base.SnapshotRestore},
+	if len(measured) == 0 {
+		return fmt.Errorf("no BenchmarkEngineTick results in input")
 	}
-	matched := 0
-	for _, fam := range families {
-		got := measured[fam.name]
-		if len(got) == 0 {
-			continue
-		}
-		matched++
-		fmt.Fprintf(os.Stdout, "— %s —\n", fam.name)
-		if err := compare(os.Stdout, fam.base, got, tolerance, baselinePath); err != nil {
-			return err
-		}
-	}
-	if matched == 0 {
-		return fmt.Errorf("no BenchmarkEngineTick or BenchmarkSnapshotRestore results in input")
-	}
-	return nil
+	return compare(os.Stdout, base.EngineTick, measured, tolerance, baselinePath)
 }
 
 // compare reports every measured sub-benchmark against the baseline. Gated
@@ -171,22 +142,19 @@ func compare(w io.Writer, base map[string]baselineEntry, measured map[string]flo
 	return nil
 }
 
-func parseBench(r io.Reader) (map[string]map[string]float64, error) {
-	out := map[string]map[string]float64{}
+func parseBench(r io.Reader) (map[string]float64, error) {
+	out := map[string]float64{}
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		m := benchLine.FindStringSubmatch(sc.Text())
 		if m == nil {
 			continue
 		}
-		v, err := strconv.ParseFloat(m[4], 64)
+		v, err := strconv.ParseFloat(m[3], 64)
 		if err != nil {
 			return nil, fmt.Errorf("line %q: %w", sc.Text(), err)
 		}
-		if out[m[1]] == nil {
-			out[m[1]] = map[string]float64{}
-		}
-		out[m[1]][m[2]] = v
+		out[m[1]] = v
 	}
 	return out, sc.Err()
 }

@@ -12,7 +12,7 @@
 //	ccbench [-config volta|small] [-scale quick|full] [-seed N]
 //	        [-only fig10,table2,...] [-parallel N]
 //	        [-check] [-csv DIR] [-metrics DIR] [-telemetry DIR]
-//	        [-checkpoint-dir DIR] [-gpus N] [-topology full|ring|nvswitch]
+//	        [-cache-dir DIR] [-gpus N] [-topology full|ring|nvswitch]
 //	ccbench -list
 //
 // -gpus and -topology shape the simulated multi-GPU mesh used by the
@@ -29,7 +29,7 @@
 // setting, because each experiment owns a private registry and snapshots
 // are sorted by metric name.
 //
-// -checkpoint-dir DIR enables the content-addressed result cache: each
+// -cache-dir DIR enables the content-addressed result cache: each
 // completed experiment is stored under its cache key — (config hash, config
 // name, suite seed, experiment id, scale, observer flags) — and a later run
 // with the same key is served from disk without simulating. -parallel is
@@ -88,7 +88,7 @@ func main() {
 	csvDir := flag.String("csv", "", "directory to also write per-experiment CSV files into (created if missing)")
 	metricsDir := flag.String("metrics", "", "directory to write per-experiment probe metrics (JSON+CSV) into (created if missing)")
 	telemetryDir := flag.String("telemetry", "", "directory to write per-experiment telemetry window/event JSONL streams into (created if missing)")
-	checkpointDir := flag.String("checkpoint-dir", "", "directory for the content-addressed result cache; repeated runs with the same key are served from it without simulating")
+	cacheDir := flag.String("cache-dir", "", "directory for the content-addressed result cache; repeated runs with the same key are served from it without simulating")
 	parallel := flag.Int("parallel", 0, "experiments to run concurrently (0 = GOMAXPROCS)")
 	gpus := flag.Int("gpus", 0, "GPUs per simulated mesh for the cross-GPU experiments (0 = their default of 2)")
 	topology := flag.String("topology", "", "NVLink mesh topology: full, ring, or nvswitch (empty = config default)")
@@ -167,7 +167,7 @@ func main() {
 		}
 	}
 
-	for _, dir := range []string{*csvDir, *metricsDir, *telemetryDir, *checkpointDir} {
+	for _, dir := range []string{*csvDir, *metricsDir, *telemetryDir, *cacheDir} {
 		if dir == "" {
 			continue
 		}
@@ -184,8 +184,8 @@ func main() {
 		Options:  opt,
 		Check:    *check,
 	}
-	if *checkpointDir != "" {
-		runner.Cache = &experiments.Cache{Dir: *checkpointDir}
+	if *cacheDir != "" {
+		runner.Cache = &experiments.Cache{Dir: *cacheDir}
 		runner.ConfigName = cfg.Name
 	}
 	results, err := runner.Run(&cfg, ids)

@@ -10,8 +10,8 @@
 //   - EXPERIMENTS.md never mentions the id of an experiment that is
 //     registered in internal/experiments — a new Fig*/Table* that was never
 //     documented;
-//   - the cache-key field table in docs/ARCHITECTURE.md ("Checkpoint/
-//     restore & server") disagrees with the experiments.CacheKey struct —
+//   - the cache-key field table in docs/ARCHITECTURE.md ("Result cache &
+//     server") disagrees with the experiments.CacheKey struct —
 //     a field added to the key that the doc never documents, or a
 //     documented field the struct no longer has.
 //
@@ -163,7 +163,7 @@ func checkExperimentIDs(root string, report func(string, ...any)) {
 	}
 }
 
-const cacheKeyHead = "## Checkpoint/restore & server"
+const cacheKeyHead = "## Result cache & server"
 
 // cacheKeyRow matches one row of the cache-key field table in
 // docs/ARCHITECTURE.md: a table line whose first cell is a backticked

@@ -7,25 +7,16 @@
 //
 //	gpusim [-config volta|small] [-arb rr|crr|srr|age] [-sms 0,1] \
 //	       [-ops 20] [-warps 4] [-read] [-seed N] \
-//	       [-trace out.json] [-watch N] [-gpus N] [-topology full|ring|nvswitch] \
-//	       [-snapshot-at N -snapshot-file f.snap | -restore f.snap]
+//	       [-trace out.json] [-watch N] [-gpus N] [-topology full|ring|nvswitch]
 //
 // -gpus N (N >= 2) builds an N-device NVLink mesh (internal/mesh) instead of
 // a single GPU and points the streamers on device 0 at a window owned by
 // device 1, so every access crosses the fabric; the report adds one line per
 // NVLink link with its packet/flit/queue statistics. -topology selects the
-// fabric wiring. Mesh runs do not support -trace, -watch, or checkpoints.
+// fabric wiring. Mesh runs do not support -trace or -watch.
 //
-// -snapshot-at N -snapshot-file f writes a checkpoint of the complete engine
-// state at cycle N and then keeps running to completion, so the run's stdout
-// is the uninterrupted reference. -restore f rebuilds the engine from such a
-// checkpoint (pass the same -config/-arb/-seed and workload flags: the blob
-// is bound to the configuration hash) and runs it to completion; its stdout
-// is byte-identical to the snapshotting run's, which is exactly what the
-// snapshot-identity CI job diffs. The single-GPU workload is a
-// device.MaskedStreamer — a concrete checkpointable program, not a closure —
-// so warp progress survives the round trip. Incompatible with -trace (event
-// spans cannot be snapshotted).
+// -warps must be at least 1 and -ops at least 0; other values exit 1 before
+// any engine is built.
 //
 // -trace writes a Chrome trace-event JSON file of the run: one track per
 // instrumented NoC link (spans are packets occupying the channel, from
@@ -90,19 +81,13 @@ func main() {
 	watch := flag.Uint64("watch", 0, "print one NoC occupancy line per N-cycle telemetry window to stderr (0 = off)")
 	gpus := flag.Int("gpus", 0, "build an N-GPU NVLink mesh and stream from device 0 into device 1's memory (0/1 = single GPU)")
 	topology := flag.String("topology", "", "NVLink mesh topology: full, ring, or nvswitch (empty = config default)")
-	snapAt := flag.Uint64("snapshot-at", 0, "write a checkpoint at this cycle, then keep running (requires -snapshot-file)")
-	snapFile := flag.String("snapshot-file", "", "checkpoint output path for -snapshot-at")
-	restorePath := flag.String("restore", "", "restore the engine from this checkpoint and run to completion")
 	flag.Parse()
 
-	if (*snapAt > 0) != (*snapFile != "") {
-		fail(fmt.Errorf("-snapshot-at and -snapshot-file must be used together"))
+	if *warps < 1 {
+		fail(fmt.Errorf("-warps must be at least 1, got %d", *warps))
 	}
-	if *restorePath != "" && *snapFile != "" {
-		fail(fmt.Errorf("-restore and -snapshot-at are mutually exclusive"))
-	}
-	if (*snapFile != "" || *restorePath != "") && *tracePath != "" {
-		fail(fmt.Errorf("-trace cannot be combined with checkpoints (event spans cannot be snapshotted)"))
+	if *ops < 0 {
+		fail(fmt.Errorf("-ops must not be negative, got %d", *ops))
 	}
 
 	var cfg config.Config
@@ -148,9 +133,6 @@ func main() {
 		if *tracePath != "" || *watch > 0 {
 			fail(fmt.Errorf("-trace and -watch are not supported with -gpus"))
 		}
-		if *snapFile != "" || *restorePath != "" {
-			fail(fmt.Errorf("checkpoints are not supported with -gpus"))
-		}
 		runMesh(cfg, *gpus, targets, *warps, *ops, *read, *smsFlag)
 		return
 	}
@@ -173,72 +155,37 @@ func main() {
 		}
 	}
 
-	// The workload is a MaskedStreamer per warp — a concrete checkpointable
-	// program, so a -snapshot-at/-restore round trip preserves warp
-	// progress. Both the launching and the restoring path record every
-	// instance they build; the report reads clocks back from them.
+	// The workload is a MaskedStreamer per warp; the report reads clocks
+	// back from every instance the kernel builds.
 	const span = 8192
 	var progs []*device.MaskedStreamer
-	newProg := func(w int) *device.MaskedStreamer {
-		m := &device.MaskedStreamer{
-			SMs:         smList,
-			Warp:        w,
-			WarpsPerSM:  *warps,
-			SpanBytes:   span,
-			LineBytes:   cfg.L2LineBytes,
-			Write:       !*read,
-			Count:       *ops,
-			Uncoalesced: true,
-			WrapBytes:   span / 2,
-		}
-		progs = append(progs, m)
-		return m
+	g, err := engine.New(cfg)
+	if err != nil {
+		fail(err)
 	}
-
-	var g *engine.GPU
-	if *restorePath != "" {
-		blob, err := os.ReadFile(*restorePath)
-		if err != nil {
-			fail(err)
-		}
-		// The restore factory constructs zero-valued programs; every field
-		// (including the per-warp placement) comes from the snapshot.
-		g, err = engine.Restore(cfg, blob, engine.RestoreOptions{
-			Programs: map[string]func() device.Checkpointable{
-				"masked-streamer": func() device.Checkpointable { return newProg(0) },
-			},
-		})
-		if err != nil {
-			fail(err)
-		}
-	} else {
-		var err error
-		g, err = engine.New(cfg)
-		if err != nil {
-			fail(err)
-		}
-		g.Preload(0, uint64(cfg.NumSMs()**warps)*span)
-		spec := device.KernelSpec{
-			Name:          "gpusim",
-			Blocks:        cfg.NumSMs(),
-			WarpsPerBlock: *warps,
-			New:           func(b, w int) device.Program { return newProg(w) },
-		}
-		if _, err := g.Launch(spec); err != nil {
-			fail(err)
-		}
-		if *snapFile != "" {
-			g.RunFor(*snapAt)
-			blob, err := g.Snapshot()
-			if err != nil {
-				fail(err)
+	g.Preload(0, uint64(cfg.NumSMs()**warps)*span)
+	spec := device.KernelSpec{
+		Name:          "gpusim",
+		Blocks:        cfg.NumSMs(),
+		WarpsPerBlock: *warps,
+		New: func(b, w int) device.Program {
+			m := &device.MaskedStreamer{
+				SMs:         smList,
+				Warp:        w,
+				WarpsPerSM:  *warps,
+				SpanBytes:   span,
+				LineBytes:   cfg.L2LineBytes,
+				Write:       !*read,
+				Count:       *ops,
+				Uncoalesced: true,
+				WrapBytes:   span / 2,
 			}
-			if err := os.WriteFile(*snapFile, blob, 0o644); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "gpusim: wrote %d-byte checkpoint at cycle %d -> %s\n",
-				len(blob), g.Now(), *snapFile)
-		}
+			progs = append(progs, m)
+			return m
+		},
+	}
+	if _, err := g.Launch(spec); err != nil {
+		fail(err)
 	}
 	if err := g.RunKernels(100_000_000); err != nil {
 		fail(err)

@@ -8,8 +8,8 @@ import (
 // Hash returns a stable 64-bit FNV-1a hash of every simulation-relevant
 // field of the configuration. Two configurations with equal hashes produce
 // bit-identical simulations for the same workload, so the hash is the
-// config component of both the snapshot header (internal/snap) and the
-// content-addressed result cache key (internal/experiments).
+// config component of the content-addressed result cache key
+// (internal/experiments).
 //
 // Fields that never influence simulation results are excluded, exactly
 // mirroring the set Validate ignores: ExhaustiveTick (reference mode) and

@@ -220,3 +220,77 @@ func (c *ComputeLoop) Step(ctx *Ctx) Op {
 	}
 	return Wait(cost)
 }
+
+// MaskedStreamer is a Streamer that binds itself to a target SM set on its
+// first step: warps whose block landed on an SM outside the mask terminate
+// immediately, and active warps stream from a base address derived from
+// their physical SM. It is gpusim's canned workload ("stream on SMs 0 and
+// 1"), and it records the warp's start and end clocks for per-SM reporting.
+type MaskedStreamer struct {
+	// SMs is the ascending list of target physical SM ids; empty means
+	// every SM participates.
+	SMs []int
+	// Warp is this warp's index within its block, WarpsPerSM the block's
+	// warp count; together with SpanBytes they place each active warp in
+	// a disjoint address window: Base = (SMID*WarpsPerSM+Warp)*SpanBytes.
+	Warp       int
+	WarpsPerSM int
+	SpanBytes  uint64
+	// LineBytes, Write, Count, Uncoalesced, and WrapBytes configure the
+	// inner Streamer.
+	LineBytes   int
+	Write       bool
+	Count       int
+	Uncoalesced bool
+	WrapBytes   uint64
+
+	// StartClock and EndClock are the warp's unwrapped SM clock at
+	// activation and at completion; SMID is the physical SM the warp
+	// bound to. They are read back for reports after the run.
+	StartClock uint64
+	EndClock   uint64
+	SMID       int
+
+	checked bool
+	active  bool
+	done    bool
+	inner   Streamer
+}
+
+// Step implements Program.
+func (m *MaskedStreamer) Step(ctx *Ctx) Op {
+	if !m.checked {
+		m.checked = true
+		m.active = len(m.SMs) == 0
+		for _, id := range m.SMs {
+			if id == ctx.SMID {
+				m.active = true
+				break
+			}
+		}
+		if m.active {
+			m.SMID = ctx.SMID
+			m.StartClock = ctx.Clock64
+			m.inner = Streamer{
+				Base:        uint64(ctx.SMID*m.WarpsPerSM+m.Warp) * m.SpanBytes,
+				LineBytes:   m.LineBytes,
+				Write:       m.Write,
+				Count:       m.Count,
+				Uncoalesced: m.Uncoalesced,
+				WrapBytes:   m.WrapBytes,
+			}
+		}
+	}
+	if !m.active {
+		return Done()
+	}
+	op := m.inner.Step(ctx)
+	if op.Kind == OpDone && !m.done {
+		m.done = true
+		m.EndClock = ctx.Clock64
+	}
+	return op
+}
+
+// Active reports whether the warp bound to a target SM.
+func (m *MaskedStreamer) Active() bool { return m.active }

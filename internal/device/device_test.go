@@ -186,3 +186,38 @@ func TestQuickStreamerTermination(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestMaskedStreamer pins the SM mask: a warp on an SM outside the mask
+// terminates at once, and a warp inside it streams from its disjoint window
+// and records its start and end clocks.
+func TestMaskedStreamer(t *testing.T) {
+	mk := func() *MaskedStreamer {
+		return &MaskedStreamer{SMs: []int{1, 3}, Warp: 2, WarpsPerSM: 4, SpanBytes: 8192, LineBytes: 32, Count: 2}
+	}
+	off := mk()
+	if op := off.Step(&Ctx{SMID: 2}); op.Kind != OpDone || off.Active() {
+		t.Fatalf("warp outside the mask: op %+v, active %v", op, off.Active())
+	}
+
+	on := mk()
+	ctx := &Ctx{SMID: 3, Clock64: 50}
+	var ops []Op
+	for i := 0; i < 10; i++ {
+		op := on.Step(ctx)
+		ops = append(ops, op)
+		if op.Kind == OpDone {
+			break
+		}
+		ctx.Clock64 += 100
+	}
+	if len(ops) != 3 || ops[0].Kind != OpMem || ops[1].Kind != OpMem || ops[2].Kind != OpDone {
+		t.Fatalf("ops = %+v, want two memory ops then done", ops)
+	}
+	if want := uint64(3*4+2) * 8192; ops[0].Mem.Base != want {
+		t.Errorf("first op base = %#x, want %#x", ops[0].Mem.Base, want)
+	}
+	if !on.Active() || on.SMID != 3 || on.StartClock != 50 || on.EndClock != 250 {
+		t.Errorf("active %v, SMID %d, clocks [%d,%d], want true, 3, [50,250]",
+			on.Active(), on.SMID, on.StartClock, on.EndClock)
+	}
+}

@@ -22,11 +22,6 @@ type Request struct {
 	// Done is invoked exactly once, at the cycle the data transfer
 	// completes.
 	Done func(now uint64)
-	// Origin identifies the enqueuing component for checkpointing: Done is
-	// a closure and cannot be serialized, so Controller.Restore rebuilds it
-	// from (Origin, Addr, Write) via a caller-supplied factory. The L2
-	// partition stores the global slice index here.
-	Origin int
 
 	arriveAt uint64
 }

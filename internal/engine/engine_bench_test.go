@@ -81,49 +81,3 @@ func BenchmarkEngineTick(b *testing.B) {
 		g.RunFor(uint64(b.N))
 	})
 }
-
-// BenchmarkSnapshotRestore prices the checkpoint round trip on the full
-// Volta topology with every SM streaming mid-flight — the worst case for
-// state volume. "snapshot" is the pure serialization cost (the engine keeps
-// running afterwards, so this is also the pause a periodic checkpointer
-// imposes); "restore" includes building a fresh engine and loading the blob
-// into it, the cold-start path the checkpoint-reuse CI job exercises. Gated
-// against BENCH_tick.json's snapshot_restore_ns_per_op entries.
-func BenchmarkSnapshotRestore(b *testing.B) {
-	cfg := config.Volta()
-	cfg.WarpIssueJitter = 0
-	cfg.L2ServiceJitter = 0
-	g, err := New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := g.Config().NumSMs()
-	preloadStreamers(g, n)
-	spec, _ := streamerKernel("bench", n, 1, 1<<30, true, false, g.Config().L2LineBytes)
-	if _, err := g.Launch(spec); err != nil {
-		b.Fatal(err)
-	}
-	g.RunFor(10_000) // past dispatch jitter and into steady state
-
-	blob, err := g.Snapshot()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Logf("snapshot size: %d bytes", len(blob))
-
-	b.Run("snapshot", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := g.Snapshot(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	b.Run("restore", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := Restore(cfg, blob, RestoreOptions{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}

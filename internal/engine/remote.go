@@ -7,11 +7,10 @@
 // reply leaves at the slice egress point into a per-partition-group outbox.
 // The mesh drains the boxes between cycles in a fixed order (requests by
 // ascending GPC then FIFO, replies by ascending partition group then FIFO),
-// which is the canonical cross-GPU delivery order and the layout snapshots
-// record. Modeling-wise this folds the on-die path between the SM (or
-// slice) and the NVLink port into the link's hop latency: the contention
-// signal a cross-GPU covert channel measures lives entirely on the NVLink
-// link.
+// which is the canonical cross-GPU delivery order. Modeling-wise this folds
+// the on-die path between the SM (or slice) and the NVLink port into the
+// link's hop latency: the contention signal a cross-GPU covert channel
+// measures lives entirely on the NVLink link.
 package engine
 
 import (

@@ -117,7 +117,8 @@ func (c *Cache) path(k CacheKey) string {
 }
 
 // Get looks k up, reporting (entry, true) on a hit. A missing, unreadable,
-// or mismatched file is a miss.
+// corrupt, or mismatched file is a miss, and so is an entry whose figure
+// Report could not render.
 func (c *Cache) Get(k CacheKey) (*Entry, bool) {
 	if c == nil || c.Dir == "" {
 		return nil, false
@@ -127,10 +128,24 @@ func (c *Cache) Get(k CacheKey) (*Entry, bool) {
 		return nil, false
 	}
 	var ent Entry
-	if err := json.Unmarshal(b, &ent); err != nil || ent.Key != k {
+	if err := json.Unmarshal(b, &ent); err != nil || ent.Key != k || !renderable(ent.Figure) {
 		return nil, false
 	}
 	return &ent, true
+}
+
+// renderable reports whether f can be rendered: it is present, and every
+// series pairs each X with a Y.
+func renderable(f *Figure) bool {
+	if f == nil {
+		return false
+	}
+	for _, s := range f.Series {
+		if len(s.X) != len(s.Y) {
+			return false
+		}
+	}
+	return true
 }
 
 // Put stores ent, atomically (write to a temp file, then rename).

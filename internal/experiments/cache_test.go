@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -56,8 +57,8 @@ func TestCacheKeyID(t *testing.T) {
 }
 
 // TestCacheMissesAreSafe pins the miss behavior Get promises: disabled
-// caches, absent entries, corrupt files, and key-mismatched files all read
-// as a miss, never an error.
+// caches, absent entries, corrupt files, key-mismatched files, and entries
+// whose figure cannot be rendered all read as a miss, never an error.
 func TestCacheMissesAreSafe(t *testing.T) {
 	k := baseKey()
 	var nilCache *Cache
@@ -95,6 +96,66 @@ func TestCacheMissesAreSafe(t *testing.T) {
 	if _, ok := c.Get(k); ok {
 		t.Error("key-mismatched entry reported a hit")
 	}
+	// Well-formed entries under the right key that Report could not render
+	// must miss too: a null figure, and a series with more X than Y values.
+	unrenderable := map[string]*Figure{
+		"null figure":   nil,
+		"ragged series": {ID: "fig2", Series: []Series{{Name: "s", X: []float64{1, 2}, Y: []float64{3}}}},
+	}
+	for name, fig := range unrenderable {
+		if err := c.Put(&Entry{Key: k, Figure: fig}); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := c.Get(k); ok {
+			t.Errorf("entry with a %s reported a hit", name)
+		}
+	}
+}
+
+// FuzzCacheGet writes arbitrary bytes as the entry file of a fixed key: Get
+// must never panic, and every hit must render through Report.
+func FuzzCacheGet(f *testing.F) {
+	k := baseKey()
+	entry := func(key CacheKey, fig *Figure) []byte {
+		b, err := json.Marshal(&Entry{Key: key, Figure: fig, Cycles: 7})
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	series := func(x, y []float64) *Figure {
+		return &Figure{
+			ID: "fig2", Title: "t", XLabel: "x", YLabel: "y",
+			Series: []Series{{Name: "s", X: x, Y: y}},
+			Header: []string{"a"}, Rows: [][]string{{"1"}},
+			Notes: []string{"n"},
+		}
+	}
+	valid := entry(k, series([]float64{1, 2}, []float64{3, 4}))
+	wrong := k
+	wrong.Seed++
+	f.Add(valid)
+	f.Add(entry(k, nil)) // "figure": null
+	f.Add(entry(k, series([]float64{1, 2}, []float64{3})))
+	f.Add(valid[:len(valid)/2])
+	f.Add(entry(wrong, series([]float64{1}, []float64{2})))
+
+	c := &Cache{Dir: f.TempDir()}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(c.path(k), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ent, ok := c.Get(k)
+		if !ok {
+			return
+		}
+		if ent.Key != k {
+			t.Fatalf("hit carries key %+v, want %+v", ent.Key, k)
+		}
+		if out := Report([]Result{{Figure: ent.Figure}}); out == "" {
+			t.Fatal("a hit rendered an empty report")
+		}
+	})
 }
 
 // TestCachePutGetRoundTrip stores an entry and reads it back verbatim.

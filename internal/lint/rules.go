@@ -160,7 +160,6 @@ func engineAndBelow() []string {
 		"internal/ring",
 		"internal/sched",
 		"internal/sm",
-		"internal/snap",
 		"internal/stats",
 		"internal/tbsched",
 		"internal/telemetry",
@@ -191,14 +190,10 @@ func DefaultRules() *Rules {
 					"internal/reveng",
 				},
 
-				// Leaves: no module-local imports at all. snap is the
-				// checkpoint codec — beneath everything it serializes, so
-				// every stateful component can declare its own Snapshot/
-				// Restore without a layering cycle.
-				"internal/packet": {"internal/snap"},
+				// Leaves: no module-local imports at all.
+				"internal/packet": {},
 				"internal/ring":   {},
 				"internal/sched":  {},
-				"internal/snap":   {},
 				"internal/stats":  {},
 				"internal/warp":   {},
 
@@ -208,34 +203,32 @@ func DefaultRules() *Rules {
 				// probe snapshots into windows and sits just below config so
 				// a Sampler can travel inside a Config the way the Registry
 				// does.
-				"internal/probe":     {"internal/snap", "internal/stats"},
-				"internal/telemetry": {"internal/probe", "internal/snap", "internal/stats"},
+				"internal/probe":     {"internal/stats"},
+				"internal/telemetry": {"internal/probe", "internal/stats"},
 				"internal/config":    {"internal/probe", "internal/telemetry"},
 
 				// Substrate: config/packet only, plus documented edges
-				// (probe is reachable from everything holding a Config, and
-				// snap from everything that snapshots).
-				"internal/arb":      {"internal/config", "internal/packet", "internal/probe", "internal/snap"},
-				"internal/cache":    {"internal/config", "internal/packet", "internal/probe", "internal/snap"},
+				// (probe is reachable from everything holding a Config).
+				"internal/arb":      {"internal/config", "internal/packet", "internal/probe"},
+				"internal/cache":    {"internal/config", "internal/packet", "internal/probe"},
 				"internal/clockreg": {"internal/config"},
-				"internal/device":   {"internal/snap", "internal/warp"},
-				"internal/dram":     {"internal/config", "internal/probe", "internal/ring", "internal/snap"},
-				"internal/tbsched":  {"internal/config", "internal/snap"},
-				"internal/link":     {"internal/arb", "internal/config", "internal/packet", "internal/probe", "internal/ring", "internal/snap"},
+				"internal/device":   {"internal/warp"},
+				"internal/dram":     {"internal/config", "internal/probe", "internal/ring"},
+				"internal/tbsched":  {"internal/config"},
+				"internal/link":     {"internal/arb", "internal/config", "internal/packet", "internal/probe", "internal/ring"},
 				"internal/noc": {
 					"internal/arb", "internal/config", "internal/link",
 					"internal/packet", "internal/probe", "internal/sched",
-					"internal/snap",
 				},
 				"internal/mem": {
 					"internal/cache", "internal/config", "internal/dram",
 					"internal/packet", "internal/probe", "internal/ring",
-					"internal/sched", "internal/snap",
+					"internal/sched",
 				},
 				"internal/sm": {
 					"internal/cache", "internal/clockreg", "internal/config",
 					"internal/device", "internal/packet", "internal/probe",
-					"internal/ring", "internal/snap", "internal/warp",
+					"internal/ring", "internal/warp",
 				},
 
 				// Background-traffic generators: programs stepped inside the
@@ -251,7 +244,7 @@ func DefaultRules() *Rules {
 					"internal/clockreg", "internal/config", "internal/device",
 					"internal/mem", "internal/noc", "internal/packet",
 					"internal/probe", "internal/sched", "internal/sm",
-					"internal/snap", "internal/tbsched", "internal/telemetry",
+					"internal/tbsched", "internal/telemetry",
 				},
 
 				// The multi-GPU mesh: N engines under one global clock,
@@ -261,7 +254,6 @@ func DefaultRules() *Rules {
 				"internal/mesh": {
 					"internal/arb", "internal/config", "internal/device",
 					"internal/engine", "internal/link", "internal/packet",
-					"internal/snap",
 				},
 
 				// The attack, prior-work channels, and reverse engineering.

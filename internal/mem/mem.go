@@ -19,7 +19,6 @@ import (
 	"gpunoc/internal/probe"
 	"gpunoc/internal/ring"
 	"gpunoc/internal/sched"
-	"gpunoc/internal/snap"
 )
 
 // Deliver receives completed reply packets from a slice.
@@ -97,7 +96,6 @@ type Slice struct {
 	wake    func()                      // activity wake edge (see SetWaker); nil outside a scheduler
 
 	rng       *rand.Rand
-	src       *snap.CountingSource // rng's source; snapshots as a draw count
 	jitterMax int
 	retries   ring.Buffer[uint64] // line fetches whose MC submission must be retried
 
@@ -144,7 +142,6 @@ func newSlice(id int, cfg *config.Config, mc *dram.Controller, out Deliver, seed
 	if err != nil {
 		return nil, err
 	}
-	src := snap.NewCountingSource(seed)
 	return &Slice{
 		id:         id,
 		cache:      c,
@@ -156,8 +153,7 @@ func newSlice(id int, cfg *config.Config, mc *dram.Controller, out Deliver, seed
 		numSlices:  uint64(cfg.NumL2Slices),
 		waiting:    make(map[uint64][]*packet.Packet),
 		atomicFree: make(map[uint64]uint64),
-		rng:        rand.New(src),
-		src:        src,
+		rng:        rand.New(rand.NewSource(seed)),
 		jitterMax:  cfg.L2ServiceJitter,
 	}, nil
 }
@@ -244,7 +240,7 @@ func (s *Slice) Tick(now uint64) {
 	if s.retries.Len() > 0 {
 		la := *s.retries.Front()
 		//lint:allow hotalloc one DRAM request per retried miss, not per cycle
-		if s.mc.Enqueue(now, &dram.Request{Addr: la, Write: false, Origin: s.id, Done: func(at uint64) {
+		if s.mc.Enqueue(now, &dram.Request{Addr: la, Write: false, Done: func(at uint64) {
 			s.scheduleFill(at, la)
 		}}) {
 			s.retries.Pop()
@@ -282,9 +278,8 @@ func (s *Slice) Tick(now uint64) {
 		}
 		//lint:allow hotalloc one DRAM request per L2 miss, not per cycle
 		ok := s.mc.Enqueue(now, &dram.Request{
-			Addr:   la,
-			Origin: s.id,
-			Write:  false, // fetch-on-miss; writes allocate then dirty the line
+			Addr:  la,
+			Write: false, // fetch-on-miss; writes allocate then dirty the line
 			//lint:allow hotalloc completion callback created once per L2 miss
 			Done: func(at uint64) {
 				s.scheduleFill(at, la)
@@ -338,7 +333,7 @@ func (s *Slice) completeFill(at uint64, la uint64) {
 		// queue is full the writeback is dropped; the model tracks timing,
 		// not data, so this only slightly under-counts DRAM load.
 		//lint:allow hotalloc one writeback request per evicted dirty line
-		s.mc.Enqueue(at, &dram.Request{Addr: la ^ 0x1, Write: true, Origin: s.id, Done: func(uint64) {}})
+		s.mc.Enqueue(at, &dram.Request{Addr: la ^ 0x1, Write: true, Done: func(uint64) {}})
 	}
 	for _, w := range s.waiting[la] {
 		lat := s.hitLatency

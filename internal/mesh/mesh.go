@@ -70,11 +70,6 @@ type Mesh struct {
 	now   uint64
 	meter *config.CycleMeter // the base configuration's meter
 
-	// baseHash is the base configuration's hash, captured at build time;
-	// snapshots are keyed to it (per-device configs derive their seeds from
-	// the base, so the base alone identifies the whole mesh).
-	baseHash uint64
-
 	// links in canonical tick order; route[s][t] is the first-hop link and
 	// input for a packet leaving device s toward device t.
 	links []*link.Link
@@ -112,10 +107,9 @@ func New(base config.Config, n int) (*Mesh, error) {
 		return nil, err
 	}
 	m := &Mesh{
-		nv:       base.NVLink.WithDefaults(),
-		topo:     base.NVLink.Topology,
-		meter:    base.Meter,
-		baseHash: base.Hash(),
+		nv:    base.NVLink.WithDefaults(),
+		topo:  base.NVLink.Topology,
+		meter: base.Meter,
 	}
 	m.cfgs = make([]config.Config, n)
 	for d := 0; d < n; d++ {

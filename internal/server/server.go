@@ -128,6 +128,7 @@ type Server struct {
 	jobs map[string]*job // by cache key id
 
 	queue chan *job
+	done  chan struct{} // closed by Close: workers start no further job
 	wg    sync.WaitGroup
 }
 
@@ -153,6 +154,7 @@ func New(c Config) (*Server, error) {
 		registry: c.Registry,
 		jobs:     map[string]*job{},
 		queue:    make(chan *job, queueDepth),
+		done:     make(chan struct{}),
 	}
 	for w := 0; w < workers; w++ {
 		s.wg.Add(1)
@@ -161,10 +163,11 @@ func New(c Config) (*Server, error) {
 	return s, nil
 }
 
-// Close stops accepting queued work and waits for in-flight jobs to finish.
-// The handler must not be invoked after Close.
+// Close lets the running jobs finish and drops the queued ones, which never
+// start; they were never cached, so resubmitting one queues it again. The
+// handler must not be invoked after Close.
 func (s *Server) Close() {
-	close(s.queue)
+	close(s.done)
 	s.wg.Wait()
 }
 
@@ -301,11 +304,23 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }
 
-// worker drains the queue, simulating one job at a time.
+// worker drains the queue, simulating one job at a time, until Close.
 func (s *Server) worker() {
 	defer s.wg.Done()
-	for j := range s.queue {
-		s.runJob(j)
+	for {
+		select {
+		case <-s.done:
+			return
+		case j := <-s.queue:
+			// select picks among ready cases at random, so a job taken
+			// after Close must still be dropped here.
+			select {
+			case <-s.done:
+				return
+			default:
+			}
+			s.runJob(j)
+		}
 	}
 }
 

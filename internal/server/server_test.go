@@ -280,13 +280,14 @@ func serveJSON(h http.Handler, method, target string, body []byte) (JobStatus, i
 // submission must be refused with 503 at once. Blocking instead would hold
 // the server lock, which the worker needs to finish its job, and hang the
 // whole service.
-func TestServerFullQueueAnswers503(t *testing.T) {
-	release := make(chan struct{})
-	started := make(chan struct{}, 1)
+// blockingRegistry registers "block-exp", an experiment that counts its
+// runs, signals started as it begins, and then blocks until release closes.
+func blockingRegistry(started chan<- struct{}, release <-chan struct{}, runs *atomic.Int64) *experiments.Registry {
 	reg := experiments.NewRegistry()
 	reg.MustRegister(experiments.Experiment{
 		ID: "block-exp", Title: "blocks until released", Section: "test",
 		Run: func(cfg *config.Config, opt experiments.Options) (*experiments.Figure, error) {
+			runs.Add(1)
 			select {
 			case started <- struct{}{}:
 			default:
@@ -299,6 +300,13 @@ func TestServerFullQueueAnswers503(t *testing.T) {
 			}, nil
 		},
 	})
+	return reg
+}
+
+func TestServerFullQueueAnswers503(t *testing.T) {
+	release := make(chan struct{})
+	started := make(chan struct{}, 1)
+	reg := blockingRegistry(started, release, new(atomic.Int64))
 	s, err := New(Config{Cache: &experiments.Cache{Dir: t.TempDir()}, Workers: 1, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
@@ -367,6 +375,70 @@ func TestServerFullQueueAnswers503(t *testing.T) {
 		t.Fatalf("resubmitting the rejected key: status %d, want 202", code)
 	}
 	s.Close()
+}
+
+// TestServerCloseFinishesRunningAndDropsQueued pins Close's contract: it
+// returns only once the running job has finished, and no queued job starts.
+func TestServerCloseFinishesRunningAndDropsQueued(t *testing.T) {
+	release := make(chan struct{})
+	started := make(chan struct{}, 1)
+	var runs atomic.Int64
+	reg := blockingRegistry(started, release, &runs)
+	s, err := New(Config{Cache: &experiments.Cache{Dir: t.TempDir()}, Workers: 1, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(unblock)
+	h := s.Handler()
+	var keys []string
+	for seed := int64(1); seed <= 4; seed++ {
+		body, _ := json.Marshal(JobRequest{Config: "small", Seed: seed, Experiment: "block-exp"})
+		st, code := serveJSON(h, http.MethodPost, "/v1/jobs", body)
+		if code != http.StatusAccepted {
+			t.Fatalf("submission %d: status %d, want 202", seed, code)
+		}
+		keys = append(keys, st.Key)
+		if seed == 1 {
+			select {
+			case <-started:
+			case <-time.After(30 * time.Second):
+				t.Fatal("the worker never started the first job")
+			}
+		}
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a job was still running")
+	case <-time.After(50 * time.Millisecond):
+	}
+	unblock()
+	select {
+	case <-closed:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Close did not return after the running job finished")
+	}
+
+	if n := runs.Load(); n != 1 {
+		t.Fatalf("%d jobs ran, want only the one running at Close", n)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if st := s.jobs[keys[0]].state; st != "done" {
+		t.Errorf("running job ended %q, want done", st)
+	}
+	for _, key := range keys[1:] {
+		if st := s.jobs[key].state; st != "queued" {
+			t.Errorf("queued job %s ended %q, want it dropped while queued", key, st)
+		}
+	}
 }
 
 // FuzzSubmitJob feeds arbitrary bodies to POST /v1/jobs. Whatever the

@@ -17,7 +17,6 @@ import (
 	"gpunoc/internal/packet"
 	"gpunoc/internal/probe"
 	"gpunoc/internal/ring"
-	"gpunoc/internal/snap"
 	"gpunoc/internal/warp"
 )
 
@@ -48,8 +47,7 @@ type SM struct {
 	rrNext       int
 	nextInjectAt uint64
 	rng          *rand.Rand
-	src          *snap.CountingSource // rng's source; snapshots as a draw count
-	wake         func()               // activity wake edge (see SetWaker); nil outside a scheduler
+	wake         func() // activity wake edge (see SetWaker); nil outside a scheduler
 
 	// l1 is the per-SM unified L1; loads not compiled with the -dlcm=cg
 	// analogue are serviced here first. Writes are write-through and
@@ -91,7 +89,6 @@ func New(id int, cfg *config.Config, clocks *clockreg.Bank, inject Inject) (*SM,
 	if err != nil {
 		return nil, err
 	}
-	src := snap.NewCountingSource(cfg.Seed ^ (int64(id)+1)*104729)
 	s := &SM{
 		id:       id,
 		cfg:      cfg,
@@ -99,8 +96,7 @@ func New(id int, cfg *config.Config, clocks *clockreg.Bank, inject Inject) (*SM,
 		inject:   inject,
 		l1:       l1,
 		l1HitLat: 28,
-		rng:      rand.New(src),
-		src:      src,
+		rng:      rand.New(rand.NewSource(cfg.Seed ^ (int64(id)+1)*104729)),
 	}
 	if r := cfg.Probes; r != nil {
 		prefix := fmt.Sprintf("sm%d", id)
