@@ -51,9 +51,11 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -78,6 +80,25 @@ func ensureWritableDir(dir string) error {
 		return fmt.Errorf("output directory %s: removing probe file: %w", dir, err)
 	}
 	return nil
+}
+
+// streamFile creates path and writes it through a buffered writer, so a
+// large stream goes to disk as it is encoded instead of being built in
+// memory first. A write, flush or close error is returned.
+func streamFile(path string, write func(io.Writer) error) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	bw := bufio.NewWriter(f)
+	err = write(bw)
+	if ferr := bw.Flush(); err == nil {
+		err = ferr
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func main() {
@@ -229,22 +250,15 @@ func main() {
 		}
 		if *telemetryDir != "" {
 			base := filepath.Join(*telemetryDir, res.Experiment.ID)
-			var wb, eb strings.Builder
-			if err := telemetry.WriteWindowsJSONL(&wb, res.TelemetryWindows); err != nil {
-				fmt.Fprintf(os.Stderr, "ccbench: encoding windows for %s: %v\n", res.Experiment.ID, err)
-				failed = true
-				continue
-			}
-			if err := telemetry.WriteEventsJSONL(&eb, res.TelemetryEvents); err != nil {
-				fmt.Fprintf(os.Stderr, "ccbench: encoding events for %s: %v\n", res.Experiment.ID, err)
-				failed = true
-				continue
-			}
-			if err := os.WriteFile(base+".windows.jsonl", []byte(wb.String()), 0o644); err != nil {
+			if err := streamFile(base+".windows.jsonl", func(w io.Writer) error {
+				return telemetry.WriteWindowsJSONL(w, res.TelemetryWindows)
+			}); err != nil {
 				fmt.Fprintf(os.Stderr, "ccbench: writing %s.windows.jsonl: %v\n", base, err)
 				failed = true
 			}
-			if err := os.WriteFile(base+".events.jsonl", []byte(eb.String()), 0o644); err != nil {
+			if err := streamFile(base+".events.jsonl", func(w io.Writer) error {
+				return telemetry.WriteEventsJSONL(w, res.TelemetryEvents)
+			}); err != nil {
 				fmt.Fprintf(os.Stderr, "ccbench: writing %s.events.jsonl: %v\n", base, err)
 				failed = true
 			}

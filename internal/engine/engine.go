@@ -88,7 +88,7 @@ type GPU struct {
 	// tel is cached from the configuration so the run loops pay a single
 	// nil check per cycle when telemetry is off. The sampler is stepped
 	// outside step() — the hot-allocation lint root — because emitting a
-	// window snapshots the registry, which allocates.
+	// window builds the window's maps, which allocates.
 	tel *telemetry.Sampler
 }
 

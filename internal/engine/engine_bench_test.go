@@ -45,8 +45,9 @@ func BenchmarkEngineTick(b *testing.B) {
 	// The sparse workload again with full observability attached: a probe
 	// registry plus a windowed telemetry sampler feeding the covert-channel
 	// detector. The delta against sparse-2sm prices the whole telemetry
-	// stack — per-cycle probe updates dominate; the sampler itself runs once
-	// per window from the RunFor boundary, off the per-cycle path.
+	// stack: the per-event probe updates in the components, and once per
+	// window the sampler's pass over the registry's instruments and the
+	// detector's scoring of the resulting window.
 	b.Run("sparse-telemetry", func(b *testing.B) {
 		cfg := config.Volta()
 		cfg.WarpIssueJitter = 0

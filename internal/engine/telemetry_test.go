@@ -23,6 +23,28 @@ func TestTelemetryRequiresProbes(t *testing.T) {
 	}
 }
 
+// TestTelemetrySecondRegistryPanics pins the one-registry-per-sampler
+// contract at the engine seam: a sampler already reading one registry, put
+// on a config with another, fails loudly at its first window rather than
+// diffing a foreign registry's instruments against its own state.
+func TestTelemetrySecondRegistryPanics(t *testing.T) {
+	const W = 64
+	cfg := testCfg()
+	cfg.Probes = probe.NewRegistry()
+	cfg.Telemetry = telemetry.NewSampler(W)
+	mkGPU(t, cfg).RunFor(W)
+
+	cfg.Probes = probe.NewRegistry()
+	g := mkGPU(t, cfg)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.HasPrefix(msg, "telemetry: ") {
+			t.Fatalf("second registry: recovered %q, want a telemetry panic", msg)
+		}
+	}()
+	g.RunFor(W)
+}
+
 // TestTelemetryFreedom is the telemetry bit-identity regression: the same
 // contention workload untelemetried and with a full sampler + detector
 // attached must produce identical simulation outcomes — the sampler only

@@ -245,6 +245,15 @@ func (o *Occupancy) Busy() uint64 {
 	return o.busy
 }
 
+// UnitsPerCycle returns the busy units one cycle of full utilization adds
+// (0 on a nil tracker).
+func (o *Occupancy) UnitsPerCycle() uint64 {
+	if o == nil {
+		return 0
+	}
+	return o.unitsPerCyc
+}
+
 // Value returns the occupancy over the first `cycles` simulated cycles:
 // busy/(UnitsPerCycle*cycles), clamped to [0, 1].
 func (o *Occupancy) Value(cycles uint64) float64 {
@@ -255,29 +264,60 @@ func (o *Occupancy) Value(cycles uint64) float64 {
 	return math.Min(v, 1)
 }
 
-// Registry owns every metric of one instrumented GPU. Metric lookups are
-// idempotent — registering a name twice returns the existing instrument, so
-// an experiment that builds several engine instances from one config
-// accumulates across them — and the snapshot lists metrics sorted by name,
-// independent of registration order. All methods are safe on a nil receiver
-// and return nil instruments, which is the disabled fast path.
+// Registry owns every metric of one instrumented GPU. Each instrument kind
+// lives in one append-only list in registration order, with a name→position
+// index beside it. Metric lookups are idempotent — registering a name twice
+// returns the existing instrument, so an experiment that builds several
+// engine instances from one config accumulates across them — and the
+// snapshot lists metrics sorted by name, independent of registration order.
+// All methods are safe on a nil receiver and return nil instruments, which is
+// the disabled fast path.
 type Registry struct {
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Hist
-	occs     map[string]*Occupancy
+	counters list[Counter]
+	gauges   list[Gauge]
+	hists    list[Hist]
+	occs     list[Occupancy]
 	trace    *Trace
 }
 
-// NewRegistry returns an empty registry with tracing disabled.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
-		hists:    map[string]*Hist{},
-		occs:     map[string]*Occupancy{},
-	}
+// list is one instrument kind's store. It only grows, so position i names
+// the same instrument for the registry's lifetime: a reader of the lists the
+// Counters, Gauges, Hists and Occupancies accessors hand out can keep state
+// aligned with them and extend it when they get longer.
+type list[T any] struct {
+	names []string
+	items []*T
+	pos   map[string]int
 }
+
+// get returns the instrument registered under name, or registers the one
+// mk builds.
+func (l *list[T]) get(name string, mk func() *T) *T {
+	if i, ok := l.pos[name]; ok {
+		return l.items[i]
+	}
+	if l.pos == nil {
+		l.pos = map[string]int{}
+	}
+	it := mk()
+	l.pos[name] = len(l.items)
+	l.names = append(l.names, name)
+	l.items = append(l.items, it)
+	return it
+}
+
+// sorted returns the positions of l's instruments in ascending name order.
+func (l *list[T]) sorted() []int {
+	order := make([]int, len(l.names))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return l.names[order[a]] < l.names[order[b]] })
+	return order
+}
+
+// NewRegistry returns an empty registry with tracing disabled.
+func NewRegistry() *Registry { return &Registry{} }
 
 // Counter returns the counter registered under name, creating it on first
 // use. Returns nil on a nil registry.
@@ -285,12 +325,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	return r.counters.get(name, func() *Counter { return &Counter{} })
 }
 
 // Gauge returns the gauge registered under name, creating it on first use.
@@ -298,12 +333,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return r.gauges.get(name, func() *Gauge { return &Gauge{} })
 }
 
 // Hist returns the histogram registered under name, creating it on first
@@ -312,12 +342,7 @@ func (r *Registry) Hist(name string) *Hist {
 	if r == nil {
 		return nil
 	}
-	h, ok := r.hists[name]
-	if !ok {
-		h = &Hist{}
-		r.hists[name] = h
-	}
-	return h
+	return r.hists.get(name, func() *Hist { return &Hist{} })
 }
 
 // Occupancy returns the occupancy tracker registered under name, creating it
@@ -327,12 +352,45 @@ func (r *Registry) Occupancy(name string, unitsPerCycle uint64) *Occupancy {
 	if r == nil {
 		return nil
 	}
-	o, ok := r.occs[name]
-	if !ok {
-		o = &Occupancy{unitsPerCyc: unitsPerCycle}
-		r.occs[name] = o
+	return r.occs.get(name, func() *Occupancy { return &Occupancy{unitsPerCyc: unitsPerCycle} })
+}
+
+// Counters returns every registered counter and its name, in registration
+// order. The slices are the registry's own: callers must not modify them.
+// Later registrations only append, so a position keeps naming the same
+// counter. Nil on a nil registry; the same holds for Gauges, Hists and
+// Occupancies.
+func (r *Registry) Counters() ([]string, []*Counter) {
+	if r == nil {
+		return nil, nil
 	}
-	return o
+	return r.counters.names, r.counters.items
+}
+
+// Gauges returns every registered gauge and its name, in registration order.
+func (r *Registry) Gauges() ([]string, []*Gauge) {
+	if r == nil {
+		return nil, nil
+	}
+	return r.gauges.names, r.gauges.items
+}
+
+// Hists returns every registered histogram and its name, in registration
+// order.
+func (r *Registry) Hists() ([]string, []*Hist) {
+	if r == nil {
+		return nil, nil
+	}
+	return r.hists.names, r.hists.items
+}
+
+// Occupancies returns every registered occupancy tracker and its name, in
+// registration order.
+func (r *Registry) Occupancies() ([]string, []*Occupancy) {
+	if r == nil {
+		return nil, nil
+	}
+	return r.occs.names, r.occs.items
 }
 
 // EnableTrace attaches a bounded trace ring of at most cap events (values
@@ -401,40 +459,29 @@ type Snapshot struct {
 }
 
 // Snapshot captures every registered metric at the given simulated cycle.
-// The result depends only on the metric values and names, never on map
-// iteration or registration order. Safe on a nil registry (empty snapshot).
+// The result depends only on the metric values and names, never on
+// registration order. Safe on a nil registry (empty snapshot).
 func (r *Registry) Snapshot(cycles uint64) Snapshot {
 	s := Snapshot{Cycles: cycles}
 	if r == nil {
 		return s
 	}
-	for _, name := range sortedKeys(r.counters) {
-		s.Counters = append(s.Counters, CounterStat{Name: name, Value: r.counters[name].Load()})
+	for _, i := range r.counters.sorted() {
+		s.Counters = append(s.Counters, CounterStat{Name: r.counters.names[i], Value: r.counters.items[i].Load()})
 	}
-	for _, name := range sortedKeys(r.gauges) {
-		g := r.gauges[name]
-		s.Gauges = append(s.Gauges, GaugeStat{Name: name, Value: g.Load(), Max: g.Max()})
+	for _, i := range r.gauges.sorted() {
+		g := r.gauges.items[i]
+		s.Gauges = append(s.Gauges, GaugeStat{Name: r.gauges.names[i], Value: g.Load(), Max: g.Max()})
 	}
-	for _, name := range sortedKeys(r.hists) {
-		h := r.hists[name]
-		s.Hists = append(s.Hists, HistStat{Name: name, Sum: h.Sum(), Dist: h.Dist()})
+	for _, i := range r.hists.sorted() {
+		h := r.hists.items[i]
+		s.Hists = append(s.Hists, HistStat{Name: r.hists.names[i], Sum: h.Sum(), Dist: h.Dist()})
 	}
-	for _, name := range sortedKeys(r.occs) {
-		o := r.occs[name]
-		s.Occupancy = append(s.Occupancy, OccStat{Name: name, Busy: o.Busy(), Units: o.unitsPerCyc, Value: o.Value(cycles)})
+	for _, i := range r.occs.sorted() {
+		o := r.occs.items[i]
+		s.Occupancy = append(s.Occupancy, OccStat{Name: r.occs.names[i], Busy: o.Busy(), Units: o.unitsPerCyc, Value: o.Value(cycles)})
 	}
 	return s
-}
-
-// sortedKeys returns the map keys in ascending order (the deterministic
-// iteration order every snapshot uses).
-func sortedKeys[M ~map[string]V, V any](m M) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // FindOccupancy returns the occupancy stat named name (tests and CLI

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -177,6 +178,34 @@ func TestSnapshotSortedAndDeterministic(t *testing.T) {
 	}
 	if o, ok := a.FindOccupancy("o"); !ok || o.Value != 0.05 {
 		t.Fatalf("FindOccupancy = %+v/%v, want value 0.05", o, ok)
+	}
+}
+
+// TestRegistryListsKeepRegistrationOrder pins what the telemetry sampler
+// relies on: the per-kind lists hand out instruments in registration order,
+// a repeated registration neither moves nor duplicates an entry, and a later
+// registration only appends.
+func TestRegistryListsKeepRegistrationOrder(t *testing.T) {
+	r := NewRegistry()
+	z, a := r.Counter("z"), r.Counter("a")
+	if r.Counter("z") != z {
+		t.Fatal("repeated registration returned a new counter")
+	}
+	m := r.Counter("m")
+	names, cs := r.Counters()
+	if !reflect.DeepEqual(names, []string{"z", "a", "m"}) || len(cs) != 3 || cs[0] != z || cs[1] != a || cs[2] != m {
+		t.Fatalf("counters listed as %v", names)
+	}
+	o := r.Occupancy("o", 4)
+	if r.Occupancy("o", 9) != o || o.UnitsPerCycle() != 4 {
+		t.Fatalf("re-registered occupancy: units %d, want the first registration's 4", o.UnitsPerCycle())
+	}
+	if names, _ := r.Occupancies(); len(names) != 1 {
+		t.Fatalf("occupancies listed as %v", names)
+	}
+	var nilReg *Registry
+	if names, cs := nilReg.Counters(); names != nil || cs != nil {
+		t.Fatal("nil registry lists counters")
 	}
 }
 

@@ -166,3 +166,104 @@ func TestPanics(t *testing.T) {
 	expectPanic("At", func() { b.At(0) })
 	expectPanic("RemoveAt", func() { b.RemoveAt(0) })
 }
+
+// FuzzRingBuffer drives a Buffer and a plain-slice model with the same
+// Push/Pop/Front/At/RemoveAt stream, two bytes per op (op, argument). After
+// every op the contents must match the model, and every backing slot outside
+// the live window must hold the zero value, so vacated slots pin nothing.
+// Out-of-range indices and ops on an empty buffer must panic. Pushed values
+// are nonzero, which makes a stale slot visible.
+func FuzzRingBuffer(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 1, 0, 2, 0, 3, 1, 4, 0})
+	// Wrap the head around a full 8-slot array, then remove from both
+	// halves and grow while wrapped.
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 0,
+		0, 0, 0, 0, 0, 0, 4, 2, 4, 5, 3, 3, 0, 0, 0, 0, 0, 0, 0, 0, 4, 8})
+	// Every op on an empty buffer, and indices past either end.
+	f.Add([]byte{1, 0, 2, 0, 3, 0, 4, 0, 0, 0, 3, 2, 4, 3, 3, 0})
+
+	panics := func(fn func()) (p bool) {
+		defer func() { p = recover() != nil }()
+		fn()
+		return false
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var b Buffer[int]
+		var model []int
+		next := 1
+		for k := 0; k+1 < len(data); k += 2 {
+			op, arg := data[k]%5, int(data[k+1])
+			// Indices run from -1 to Len, one past either end.
+			i := arg%(len(model)+2) - 1
+			inRange := i >= 0 && i < len(model)
+			switch op {
+			case 0:
+				b.Push(next)
+				model = append(model, next)
+				next++
+			case 1:
+				if len(model) == 0 {
+					if !panics(func() { b.Pop() }) {
+						t.Fatalf("op %d: Pop on empty buffer did not panic", k/2)
+					}
+					break
+				}
+				if got := b.Pop(); got != model[0] {
+					t.Fatalf("op %d: Pop = %d, want %d", k/2, got, model[0])
+				}
+				model = model[1:]
+			case 2:
+				if len(model) == 0 {
+					if !panics(func() { b.Front() }) {
+						t.Fatalf("op %d: Front on empty buffer did not panic", k/2)
+					}
+					break
+				}
+				if got := *b.Front(); got != model[0] {
+					t.Fatalf("op %d: Front = %d, want %d", k/2, got, model[0])
+				}
+			case 3:
+				if !inRange {
+					if !panics(func() { b.At(i) }) {
+						t.Fatalf("op %d: At(%d) on length %d did not panic", k/2, i, len(model))
+					}
+					break
+				}
+				p := b.At(i)
+				if *p != model[i] {
+					t.Fatalf("op %d: At(%d) = %d, want %d", k/2, i, *p, model[i])
+				}
+				// Writes through the pointer land in place.
+				*p, model[i] = next, next
+				next++
+			case 4:
+				if !inRange {
+					if !panics(func() { b.RemoveAt(i) }) {
+						t.Fatalf("op %d: RemoveAt(%d) on length %d did not panic", k/2, i, len(model))
+					}
+					break
+				}
+				if got := b.RemoveAt(i); got != model[i] {
+					t.Fatalf("op %d: RemoveAt(%d) = %d, want %d", k/2, i, got, model[i])
+				}
+				model = append(model[:i:i], model[i+1:]...)
+			}
+
+			if b.Len() != len(model) {
+				t.Fatalf("op %d: Len = %d, want %d", k/2, b.Len(), len(model))
+			}
+			live := make([]bool, len(b.buf))
+			for j, want := range model {
+				live[(b.head+j)%len(b.buf)] = true
+				if got := *b.At(j); got != want {
+					t.Fatalf("op %d: At(%d) = %d, want %d", k/2, j, got, want)
+				}
+			}
+			for j, v := range b.buf {
+				if !live[j] && v != 0 {
+					t.Fatalf("op %d: vacated slot %d still holds %d", k/2, j, v)
+				}
+			}
+		}
+	})
+}

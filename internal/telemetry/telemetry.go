@@ -1,11 +1,15 @@
-// Package telemetry turns the probe layer's end-of-run snapshots into a
+// Package telemetry turns the probe layer's cumulative metrics into a
 // deterministic stream of fixed-width windows. An engine-driven Sampler is
 // stepped once per simulated cycle (and once per idle fast-forward jump);
-// every W cycles it diffs the current probe.Snapshot against the previous
-// one into a Window of per-metric deltas and rates, folds each link's
-// occupancy rate into an EWMA baseline, and hands the window to every
-// registered Watcher. The first real watcher, Detector (detector.go), scores
-// the window stream for the covert channel's slot-paced signature.
+// every W cycles it reads each registered instrument in place, diffs it
+// against the value it kept from the previous window into a Window of
+// per-metric deltas and rates, folds each link's occupancy rate into an
+// EWMA baseline, and hands the window to every registered Watcher. Its state
+// sits in slices aligned with the registry's append-only, registration-
+// ordered instrument lists, so a window costs one pass over the instruments:
+// no snapshot, no sorting, no quantiles, no name comparisons. The first real
+// watcher, Detector (detector.go), scores the window stream for the covert
+// channel's slot-paced signature.
 //
 // The layer follows the probe substrate's contract exactly: it spawns no
 // goroutines (watchers run inline on the engine's goroutine, inside the tick
@@ -34,8 +38,8 @@ import (
 
 // DefaultWindowCycles is the window width selected when NewSampler is given
 // zero: 512 cycles is fine-grained enough to resolve the paper-rate channel's
-// ~1600-cycle slots (lag ≥ 3 windows) while keeping JSONL volume and snapshot
-// overhead small.
+// ~1600-cycle slots (lag ≥ 3 windows) while keeping JSONL volume and
+// per-window overhead small.
 const DefaultWindowCycles = 512
 
 // DefaultEWMAAlpha is the smoothing factor of the per-link occupancy
@@ -104,15 +108,27 @@ func (r *Recorder) Windows() []Window { return r.windows }
 // Sampler cuts the probe registry's cumulative metrics into fixed-width
 // windows. The zero value and the nil pointer are both "off": Step on a nil
 // Sampler is a no-op, which is the disabled fast path the engine relies on.
-// A Sampler is single-use and single-goroutine, like the registry it reads.
+// A Sampler is single-use and single-goroutine, like the registry it reads,
+// and aggregates exactly one registry: its per-metric state is aligned by
+// position with that registry's instrument lists, so Step panics when handed
+// a second one.
 type Sampler struct {
-	window   uint64
-	alpha    float64
-	clock    uint64
-	nextAt   uint64
-	index    uint64
-	prev     probe.Snapshot
-	ewma     map[string]float64
+	window uint64
+	alpha  float64
+	clock  uint64
+	nextAt uint64
+	index  uint64
+	reg    *probe.Registry
+
+	// Cumulative values at the previous window boundary and the occupancy
+	// baselines, each aligned with the registry's registration-ordered list
+	// of its kind and extended with zeros when that list grows.
+	counters []uint64
+	gauges   []int64
+	hists    []HistDelta
+	busy     []uint64
+	ewma     []float64
+
 	watchers []Watcher
 }
 
@@ -126,7 +142,6 @@ func NewSampler(windowCycles uint64, watchers ...Watcher) *Sampler {
 		window:   windowCycles,
 		alpha:    DefaultEWMAAlpha,
 		nextAt:   windowCycles,
-		ewma:     map[string]float64{},
 		watchers: watchers,
 	}
 }
@@ -145,7 +160,8 @@ func (s *Sampler) WindowCycles() uint64 {
 // fast-forward jump; in the latter case the registry is unchanged across the
 // jump, so the first crossed window absorbs the whole delta and the rest are
 // empty — exactly what stepping cycle-by-cycle would have produced. Safe on
-// a nil receiver (no-op).
+// a nil receiver (no-op). The first non-nil registry a window reads binds
+// the sampler; reading any other one panics.
 func (s *Sampler) Step(d uint64, r *probe.Registry) {
 	if s == nil {
 		return
@@ -157,15 +173,19 @@ func (s *Sampler) Step(d uint64, r *probe.Registry) {
 	s.flush(r)
 }
 
-// flush emits every completed window up to the current clock. One snapshot
-// serves all of them: within a single Step call the registry cannot change,
-// so windows after the first diff an unchanged snapshot against itself and
-// carry only decaying EWMA baselines.
+// flush emits every completed window up to the current clock, reading the
+// registry's instruments in place. Within a single Step call the registry
+// cannot change, so windows after the first see no deltas and carry only
+// decaying EWMA baselines.
 func (s *Sampler) flush(r *probe.Registry) {
-	cur := r.Snapshot(s.nextAt)
+	if r != s.reg {
+		if s.reg != nil {
+			panic("telemetry: sampler stepped with a second probe registry; a Sampler aggregates exactly one")
+		}
+		s.reg = r
+	}
 	for s.clock >= s.nextAt {
-		w := s.diff(cur)
-		s.prev = cur
+		w := s.diff()
 		s.index++
 		s.nextAt += s.window
 		for _, wt := range s.watchers {
@@ -174,90 +194,83 @@ func (s *Sampler) flush(r *probe.Registry) {
 	}
 }
 
-// diff builds the window ending at s.nextAt from the previous and current
-// snapshots. Registry metric sets only grow and snapshots are sorted by
-// name, so a forward merge over cur with a trailing cursor into prev visits
-// every metric exactly once.
-func (s *Sampler) diff(cur probe.Snapshot) Window {
+// diff builds the window ending at s.nextAt by comparing each instrument's
+// current value with the one recorded at the previous boundary, then records
+// the current values for the next window. The registry's lists only grow, so
+// a metric registered since the last window starts from zero, as it would in
+// a snapshot taken before it existed.
+func (s *Sampler) diff() Window {
 	w := Window{Index: s.index, Start: s.nextAt - s.window, End: s.nextAt}
 
-	i := 0
-	for _, c := range cur.Counters {
-		var prev uint64
-		for i < len(s.prev.Counters) && s.prev.Counters[i].Name < c.Name {
-			i++
-		}
-		if i < len(s.prev.Counters) && s.prev.Counters[i].Name == c.Name {
-			prev = s.prev.Counters[i].Value
-		}
-		if d := c.Value - prev; d != 0 {
+	names, counters := s.reg.Counters()
+	s.counters = extend(s.counters, len(counters))
+	for i, c := range counters {
+		v := c.Load()
+		if d := v - s.counters[i]; d != 0 {
 			if w.Counters == nil {
 				w.Counters = map[string]uint64{}
 			}
-			w.Counters[c.Name] = d
+			w.Counters[names[i]] = d
+			s.counters[i] = v
 		}
 	}
 
-	i = 0
-	for _, g := range cur.Gauges {
-		prev, had := int64(0), false
-		for i < len(s.prev.Gauges) && s.prev.Gauges[i].Name < g.Name {
-			i++
-		}
-		if i < len(s.prev.Gauges) && s.prev.Gauges[i].Name == g.Name {
-			prev, had = s.prev.Gauges[i].Value, true
-		}
-		if g.Value != prev || (!had && g.Value != 0) {
+	names, gauges := s.reg.Gauges()
+	s.gauges = extend(s.gauges, len(gauges))
+	for i, g := range gauges {
+		if v := g.Load(); v != s.gauges[i] {
 			if w.Gauges == nil {
 				w.Gauges = map[string]int64{}
 			}
-			w.Gauges[g.Name] = g.Value
+			w.Gauges[names[i]] = v
+			s.gauges[i] = v
 		}
 	}
 
-	i = 0
-	for _, h := range cur.Hists {
-		var prevCount, prevSum uint64
-		for i < len(s.prev.Hists) && s.prev.Hists[i].Name < h.Name {
-			i++
-		}
-		if i < len(s.prev.Hists) && s.prev.Hists[i].Name == h.Name {
-			prevCount = uint64(s.prev.Hists[i].Dist.Count)
-			prevSum = s.prev.Hists[i].Sum
-		}
-		if d := uint64(h.Dist.Count) - prevCount; d != 0 {
+	names, hists := s.reg.Hists()
+	s.hists = extend(s.hists, len(hists))
+	for i, h := range hists {
+		prev := &s.hists[i]
+		if n := h.Count(); n != prev.Count {
 			if w.Hists == nil {
 				w.Hists = map[string]HistDelta{}
 			}
-			w.Hists[h.Name] = HistDelta{Count: d, Sum: h.Sum - prevSum}
+			sum := h.Sum()
+			w.Hists[names[i]] = HistDelta{Count: n - prev.Count, Sum: sum - prev.Sum}
+			*prev = HistDelta{Count: n, Sum: sum}
 		}
 	}
 
-	i = 0
-	for _, o := range cur.Occupancy {
-		var prevBusy uint64
-		for i < len(s.prev.Occupancy) && s.prev.Occupancy[i].Name < o.Name {
-			i++
-		}
-		if i < len(s.prev.Occupancy) && s.prev.Occupancy[i].Name == o.Name {
-			prevBusy = s.prev.Occupancy[i].Busy
-		}
-		busy := o.Busy - prevBusy
+	names, occs := s.reg.Occupancies()
+	s.busy = extend(s.busy, len(occs))
+	s.ewma = extend(s.ewma, len(occs))
+	for i, o := range occs {
+		cur := o.Busy()
+		busy := cur - s.busy[i]
+		s.busy[i] = cur
 		rate := 0.0
-		if o.Units > 0 {
-			rate = math.Min(float64(busy)/(float64(o.Units)*float64(s.window)), 1)
+		if units := o.UnitsPerCycle(); units > 0 {
+			rate = math.Min(float64(busy)/(float64(units)*float64(s.window)), 1)
 		}
-		base := s.ewma[o.Name]
-		s.ewma[o.Name] = base + s.alpha*(rate-base)
+		base := s.ewma[i]
+		s.ewma[i] = base + s.alpha*(rate-base)
 		if busy != 0 || base >= ewmaFloor {
 			if w.Occ == nil {
 				w.Occ = map[string]OccWindow{}
 			}
-			w.Occ[o.Name] = OccWindow{Busy: busy, Rate: rate, EWMA: base}
+			w.Occ[names[i]] = OccWindow{Busy: busy, Rate: rate, EWMA: base}
 		}
 	}
 
 	return w
+}
+
+// extend pads xs with zero values up to length n.
+func extend[T any](xs []T, n int) []T {
+	if n > len(xs) {
+		xs = append(xs, make([]T, n-len(xs))...)
+	}
+	return xs
 }
 
 // WriteWindowsJSONL writes one JSON object per line for each window, in
