@@ -1,16 +1,18 @@
 // benchcheck gates benchmark results against the checked-in baseline.
 //
-// It reads `go test -bench` output (stdin by default) and compares every
-// EngineTick sub-benchmark against the "after" numbers recorded in
-// BENCH_tick.json, failing when a gated metric drifts outside the tolerance
-// band. Baseline entries with "gate": false are reported but never enforced
-// (the idle number is an O(1) fast-forward measured in fractions of a
+// It reads `go test -bench` output (stdin by default), takes the median of
+// every EngineTick sub-benchmark's repeated runs, and compares it against
+// the "after" numbers recorded in BENCH_tick.json, failing when a gated
+// median drifts more than ±25% from its baseline. A median of -count 10
+// runs rides out the one-off slow run that would fail a single-run gate.
+// Baseline entries with "gate": false are reported but never enforced (the
+// idle number is an O(1) fast-forward measured in fractions of a
 // nanosecond — pure environment noise).
 //
 // Usage:
 //
-//	go test ./internal/engine -run xxx -bench EngineTick -benchtime 200000x \
-//	    | go run ./cmd/benchcheck -baseline BENCH_tick.json
+//	go test ./internal/engine ./internal/mesh -run xxx -bench EngineTick \
+//	    -benchtime 200000x -count 10 | go run ./cmd/benchcheck -baseline BENCH_tick.json
 //
 // A failure means either a real regression (fix it) or an intentional
 // performance change (regenerate the baseline with the commands recorded in
@@ -29,6 +31,9 @@ import (
 	"strconv"
 	"strings"
 )
+
+// tolerance is the allowed fractional drift of a median from its baseline.
+const tolerance = 0.25
 
 type baselineEntry struct {
 	After float64 `json:"after"`
@@ -49,17 +54,16 @@ var benchLine = regexp.MustCompile(`^BenchmarkEngineTick/(\S+?)(-\d+)?\s+\d+\s+(
 
 func main() {
 	baselinePath := flag.String("baseline", "BENCH_tick.json", "baseline JSON file")
-	tolerance := flag.Float64("tolerance", 0.25, "allowed fractional drift from the baseline")
 	in := flag.String("in", "-", "benchmark output to read ('-' for stdin)")
 	flag.Parse()
 
-	if err := run(*baselinePath, *in, *tolerance); err != nil {
+	if err := run(*baselinePath, *in); err != nil {
 		fmt.Fprintf(os.Stderr, "benchcheck: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(baselinePath, in string, tolerance float64) error {
+func run(baselinePath, in string) error {
 	raw, err := os.ReadFile(baselinePath)
 	if err != nil {
 		return err
@@ -88,16 +92,16 @@ func run(baselinePath, in string, tolerance float64) error {
 	if len(measured) == 0 {
 		return fmt.Errorf("no BenchmarkEngineTick results in input")
 	}
-	return compare(os.Stdout, base.EngineTick, measured, tolerance, baselinePath)
+	return compare(os.Stdout, base.EngineTick, measured, baselinePath)
 }
 
-// compare reports every measured sub-benchmark against the baseline. Gated
-// entries outside the tolerance band fail; "gate": false entries print an
-// UNGATED line so unenforced metrics stay visible in CI logs instead of
-// being silently skipped; a baseline entry whose benchmark no longer exists
-// in the input is an error (a renamed or deleted benchmark must take its
-// baseline entry with it).
-func compare(w io.Writer, base map[string]baselineEntry, measured map[string]float64, tolerance float64, baselinePath string) error {
+// compare reports the median of every measured sub-benchmark against the
+// baseline. Gated entries outside the tolerance band fail; "gate": false
+// entries print an UNGATED line so unenforced metrics stay visible in CI
+// logs instead of being silently skipped; a baseline entry whose benchmark
+// no longer exists in the input is an error (a renamed or deleted benchmark
+// must take its baseline entry with it).
+func compare(w io.Writer, base map[string]baselineEntry, measured map[string][]float64, baselinePath string) error {
 	names := make([]string, 0, len(measured))
 	for name := range measured {
 		names = append(names, name)
@@ -106,10 +110,12 @@ func compare(w io.Writer, base map[string]baselineEntry, measured map[string]flo
 
 	failures := 0
 	for _, name := range names {
-		got := measured[name]
+		runs := measured[name]
+		got := median(runs)
 		entry, ok := base[name]
 		if !ok {
-			fmt.Fprintf(w, "%-12s %10.4f ns/op  (no baseline entry — add one to %s)\n", name, got, baselinePath)
+			fmt.Fprintf(w, "%-12s %10.4f ns/op  median of %2d  (no baseline entry — add one to %s)\n",
+				name, got, len(runs), baselinePath)
 			continue
 		}
 		gated := entry.Gate == nil || *entry.Gate
@@ -121,8 +127,8 @@ func compare(w io.Writer, base map[string]baselineEntry, measured map[string]flo
 			status = "FAIL"
 			failures++
 		}
-		fmt.Fprintf(w, "%-12s %10.4f ns/op  baseline %10.4f  drift %+6.1f%%  %s\n",
-			name, got, entry.After, drift*100, status)
+		fmt.Fprintf(w, "%-12s %10.4f ns/op  median of %2d  baseline %10.4f  drift %+6.1f%%  %s\n",
+			name, got, len(runs), entry.After, drift*100, status)
 	}
 	var missing []string
 	for name := range base {
@@ -136,14 +142,29 @@ func compare(w io.Writer, base map[string]baselineEntry, measured map[string]flo
 			strings.Join(missing, ", "), baselinePath)
 	}
 	if failures > 0 {
-		return fmt.Errorf("%d metric(s) outside the ±%.0f%% band; if intentional, regenerate %s (see its \"how\" section)",
+		return fmt.Errorf("%d median(s) outside the ±%.0f%% band; if intentional, regenerate %s (see its \"how\" section)",
 			failures, tolerance*100, baselinePath)
 	}
 	return nil
 }
 
-func parseBench(r io.Reader) (map[string]float64, error) {
-	out := map[string]float64{}
+// median returns the middle value of runs, or the mean of the two middle
+// values for an even count. runs is never empty: parseBench only creates an
+// entry when it appends a run.
+func median(runs []float64) float64 {
+	s := append([]float64(nil), runs...)
+	sort.Float64s(s)
+	mid := len(s) / 2
+	if len(s)%2 == 1 {
+		return s[mid]
+	}
+	return (s[mid-1] + s[mid]) / 2
+}
+
+// parseBench collects every EngineTick result line, keeping each repeated
+// run of a sub-benchmark (go test -count N prints one line per run).
+func parseBench(r io.Reader) (map[string][]float64, error) {
+	out := map[string][]float64{}
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		m := benchLine.FindStringSubmatch(sc.Text())
@@ -154,7 +175,7 @@ func parseBench(r io.Reader) (map[string]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("line %q: %w", sc.Text(), err)
 		}
-		out[m[1]] = v
+		out[m[1]] = append(out[m[1]], v)
 	}
 	return out, sc.Err()
 }

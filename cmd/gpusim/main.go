@@ -129,11 +129,20 @@ func main() {
 		}
 		cfg.NVLink.Topology = topo
 	}
+
+	smList := make([]int, 0, len(targets))
+	for sm := 0; sm < cfg.NumSMs(); sm++ {
+		if targets[sm] {
+			smList = append(smList, sm)
+		}
+	}
+	st := &stream{cfg: &cfg, sms: smList, warps: *warps, ops: *ops, read: *read}
+
 	if *gpus >= 2 {
 		if *tracePath != "" || *watch > 0 {
 			fail(fmt.Errorf("-trace and -watch are not supported with -gpus"))
 		}
-		runMesh(cfg, *gpus, targets, *warps, *ops, *read, *smsFlag)
+		runMesh(cfg, *gpus, st, *smsFlag)
 		return
 	}
 
@@ -148,72 +157,23 @@ func main() {
 		cfg.Telemetry = telemetry.NewSampler(*watch, watchPrinter{})
 	}
 
-	smList := make([]int, 0, len(targets))
-	for sm := 0; sm < cfg.NumSMs(); sm++ {
-		if targets[sm] {
-			smList = append(smList, sm)
-		}
-	}
-
-	// The workload is a MaskedStreamer per warp; the report reads clocks
-	// back from every instance the kernel builds.
-	const span = 8192
-	var progs []*device.MaskedStreamer
 	g, err := engine.New(cfg)
 	if err != nil {
 		fail(err)
 	}
-	g.Preload(0, uint64(cfg.NumSMs()**warps)*span)
-	spec := device.KernelSpec{
-		Name:          "gpusim",
-		Blocks:        cfg.NumSMs(),
-		WarpsPerBlock: *warps,
-		New: func(b, w int) device.Program {
-			m := &device.MaskedStreamer{
-				SMs:         smList,
-				Warp:        w,
-				WarpsPerSM:  *warps,
-				SpanBytes:   span,
-				LineBytes:   cfg.L2LineBytes,
-				Write:       !*read,
-				Count:       *ops,
-				Uncoalesced: true,
-				WrapBytes:   span / 2,
-			}
-			progs = append(progs, m)
-			return m
-		},
-	}
-	if _, err := g.Launch(spec); err != nil {
+	g.Preload(0, st.windowBytes())
+	if _, err := g.Launch(st.kernel("gpusim")); err != nil {
 		fail(err)
 	}
 	if err := g.RunKernels(100_000_000); err != nil {
 		fail(err)
 	}
 
-	kind := "write"
-	if *read {
-		kind = "read"
-	}
 	fmt.Printf("gpusim: %s, arbitration=%s, %d %s ops x %d warps on SMs %v\n",
-		cfg.Name, cfg.NoC.Arbitration, *ops, kind, *warps, *smsFlag)
-	perSM := map[int]uint64{}
-	for _, m := range progs {
-		if m.Active() && m.EndClock > m.StartClock {
-			if d := m.EndClock - m.StartClock; d > perSM[m.SMID] {
-				perSM[m.SMID] = d
-			}
-		}
-	}
-	for sm := 0; sm < cfg.NumSMs(); sm++ {
-		if d, ok := perSM[sm]; ok {
-			fmt.Printf("  SM%-3d TPC%-2d GPC%d: %8d cycles (%.2f us at %dMHz)\n",
-				sm, cfg.TPCOfSM(sm), cfg.GPCOfSM(sm), d,
-				cfg.CyclesToSeconds(d)*1e6, cfg.CoreClockMHz)
-		}
-	}
-	st := g.Partition().Stats()
-	fmt.Printf("  L2: %d served, %d hits, %d misses\n", st.Served, st.Hits, st.Misses)
+		cfg.Name, cfg.NoC.Arbitration, *ops, st.kind(), *warps, *smsFlag)
+	st.report()
+	l2 := g.Partition().Stats()
+	fmt.Printf("  L2: %d served, %d hits, %d misses\n", l2.Served, l2.Hits, l2.Misses)
 
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
@@ -233,93 +193,101 @@ func main() {
 	}
 }
 
-// runMesh is the -gpus mode: an N-device NVLink mesh where the activated SMs
-// of device 0 stream into a window owned by device 1, so every memory op
+// span is the address window of one streaming warp.
+const span = 8192
+
+// stream is gpusim's workload: one device.MaskedStreamer per warp on the
+// target SMs, streaming from base. progs collects every instance the kernel
+// builds, so report can read their clocks back after the run.
+type stream struct {
+	cfg   *config.Config
+	sms   []int
+	warps int
+	ops   int
+	read  bool
+	base  uint64
+	progs []*device.MaskedStreamer
+}
+
+// windowBytes is the size of the address range, from base, that the
+// streamers of every SM would cover.
+func (s *stream) windowBytes() uint64 { return uint64(s.cfg.NumSMs()*s.warps) * span }
+
+func (s *stream) kind() string {
+	if s.read {
+		return "read"
+	}
+	return "write"
+}
+
+// kernel returns the streaming kernel: one block per SM, so the mask
+// decides which SMs actually stream.
+func (s *stream) kernel(name string) device.KernelSpec {
+	return device.KernelSpec{
+		Name:          name,
+		Blocks:        s.cfg.NumSMs(),
+		WarpsPerBlock: s.warps,
+		New: func(b, w int) device.Program {
+			m := &device.MaskedStreamer{
+				SMs:         s.sms,
+				Base:        s.base,
+				Warp:        w,
+				WarpsPerSM:  s.warps,
+				SpanBytes:   span,
+				LineBytes:   s.cfg.L2LineBytes,
+				Write:       !s.read,
+				Count:       s.ops,
+				Uncoalesced: true,
+				WrapBytes:   span / 2,
+			}
+			s.progs = append(s.progs, m)
+			return m
+		},
+	}
+}
+
+// report prints one line per target SM: the longest run time of its warps.
+func (s *stream) report() {
+	perSM := map[int]uint64{}
+	for _, m := range s.progs {
+		if m.Active() && m.EndClock > m.StartClock {
+			if d := m.EndClock - m.StartClock; d > perSM[m.SMID] {
+				perSM[m.SMID] = d
+			}
+		}
+	}
+	for sm := 0; sm < s.cfg.NumSMs(); sm++ {
+		if d, ok := perSM[sm]; ok {
+			fmt.Printf("  SM%-3d TPC%-2d GPC%d: %8d cycles (%.2f us at %dMHz)\n",
+				sm, s.cfg.TPCOfSM(sm), s.cfg.GPCOfSM(sm), d,
+				s.cfg.CyclesToSeconds(d)*1e6, s.cfg.CoreClockMHz)
+		}
+	}
+}
+
+// runMesh is the -gpus mode: an N-device NVLink mesh where the target SMs of
+// device 0 stream into a window owned by device 1, so every memory op
 // crosses the fabric, followed by a per-link statistics report.
-func runMesh(cfg config.Config, gpus int, targets map[int]bool, warps, ops int, read bool, smsFlag string) {
+func runMesh(cfg config.Config, gpus int, st *stream, smsFlag string) {
 	m, err := mesh.New(cfg, gpus)
 	if err != nil {
 		fail(err)
 	}
-
-	const span = 8192
-	remoteBase := mesh.DevBase(1)
-	m.Preload(1, remoteBase, uint64(cfg.NumSMs()*warps)*span)
-
-	type result struct {
-		sm    int
-		start uint64
-		end   uint64
-	}
-	var results []*result
-	spec := device.KernelSpec{
-		Name:          "gpusim-mesh",
-		Blocks:        cfg.NumSMs(),
-		WarpsPerBlock: warps,
-		New: func(b, w int) device.Program {
-			r := &result{sm: -1}
-			results = append(results, r)
-			var inner device.Streamer
-			started := false
-			return device.StepFunc(func(ctx *device.Ctx) device.Op {
-				if !started {
-					started = true
-					if !targets[ctx.SMID] {
-						return device.Done()
-					}
-					r.sm = ctx.SMID
-					r.start = ctx.Clock64
-					inner = device.Streamer{
-						Base:        remoteBase + uint64(ctx.SMID*warps+w)*span,
-						LineBytes:   cfg.L2LineBytes,
-						Write:       !read,
-						Count:       ops,
-						Uncoalesced: true,
-						WrapBytes:   span / 2,
-					}
-				}
-				if r.sm < 0 {
-					return device.Done()
-				}
-				op := inner.Step(ctx)
-				if op.Kind == device.OpDone && r.end == 0 {
-					r.end = ctx.Clock64
-				}
-				return op
-			})
-		},
-	}
-	if _, err := m.Launch(0, spec); err != nil {
+	st.base = mesh.DevBase(1)
+	m.GPU(1).Preload(st.base, st.windowBytes())
+	if _, err := m.GPU(0).Launch(st.kernel("gpusim-mesh")); err != nil {
 		fail(err)
 	}
 	if err := m.RunKernels(100_000_000); err != nil {
 		fail(err)
 	}
 
-	kind := "write"
-	if read {
-		kind = "read"
-	}
 	topo := cfg.NVLink.WithDefaults().Topology
 	fmt.Printf("gpusim: %s mesh of %d GPUs (%s), %d remote %s ops x %d warps on device-0 SMs %v\n",
-		cfg.Name, gpus, topo, ops, kind, warps, smsFlag)
-	perSM := map[int]uint64{}
-	for _, r := range results {
-		if r.sm >= 0 && r.end > r.start {
-			if d := r.end - r.start; d > perSM[r.sm] {
-				perSM[r.sm] = d
-			}
-		}
-	}
-	for sm := 0; sm < cfg.NumSMs(); sm++ {
-		if d, ok := perSM[sm]; ok {
-			fmt.Printf("  SM%-3d TPC%-2d GPC%d: %8d cycles (%.2f us at %dMHz)\n",
-				sm, cfg.TPCOfSM(sm), cfg.GPCOfSM(sm), d,
-				cfg.CyclesToSeconds(d)*1e6, cfg.CoreClockMHz)
-		}
-	}
-	st := m.GPU(1).Partition().Stats()
-	fmt.Printf("  remote L2 (device 1): %d served, %d hits, %d misses\n", st.Served, st.Hits, st.Misses)
+		cfg.Name, gpus, topo, st.ops, st.kind(), st.warps, smsFlag)
+	st.report()
+	l2 := m.GPU(1).Partition().Stats()
+	fmt.Printf("  remote L2 (device 1): %d served, %d hits, %d misses\n", l2.Served, l2.Hits, l2.Misses)
 	for _, l := range m.Links() {
 		s := l.Stats()
 		fmt.Printf("  %-24s %8d packets %10d flits  queue-wait %10d  max-queue %4d\n",

@@ -68,10 +68,6 @@ type DRAMTiming struct {
 // example the reply-side GPC speedup that yields the 2.14x seven-TPC read
 // degradation of Fig 5b) can be modeled exactly.
 type NoCConfig struct {
-	FlitSizeBytes int // flit width (Table 1: 40 bytes)
-	NumVCs        int // virtual channels per link (Table 1: 1)
-	Subnets       int // independent request/reply subnets (Table 1: 2)
-
 	// LSUInjectPeriod is the minimum number of cycles between consecutive
 	// packet injections by one SM's load/store unit. With one packet every
 	// 3 cycles, two reading SMs stay under the TPC channel capacity (reads
@@ -353,10 +349,6 @@ func Volta() Config {
 		MCQueueDepth: 64,
 
 		NoC: NoCConfig{
-			FlitSizeBytes: 40,
-			NumVCs:        1,
-			Subnets:       2,
-
 			LSUInjectPeriod: 3,
 			TPCReqRateNum:   1, TPCReqRateDen: 1,
 			GPCReqRateNum: 6, GPCReqRateDen: 1,
@@ -584,9 +576,6 @@ func (c *Config) Validate() error {
 		if r.num <= 0 || r.den <= 0 {
 			return fmt.Errorf("config: non-positive %s link rate %d/%d", r.name, r.num, r.den)
 		}
-	}
-	if c.NoC.FlitSizeBytes <= 0 {
-		return fmt.Errorf("config: bad flit size %d", c.NoC.FlitSizeBytes)
 	}
 	if c.NoC.LSUInjectPeriod <= 0 {
 		return fmt.Errorf("config: bad LSU inject period %d", c.NoC.LSUInjectPeriod)

@@ -132,7 +132,6 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"smlimits", func(c *Config) { c.MaxWarpsPerSM = 0 }},
 		{"rate", func(c *Config) { c.NoC.GPCRepRateNum = 0 }},
 		{"rateden", func(c *Config) { c.NoC.TPCReqRateDen = -1 }},
-		{"flit", func(c *Config) { c.NoC.FlitSizeBytes = 0 }},
 		{"crr", func(c *Config) { c.NoC.CRRHoldLimit = 0 }},
 	}
 	for _, m := range mutations {

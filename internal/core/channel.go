@@ -344,9 +344,15 @@ func (tr *Transmission) Launch(g *engine.GPU, launchSkew uint64) error {
 	return nil
 }
 
-// Finish runs every launched kernel to completion and decodes the
+// KernelRunner runs every launched kernel to completion within a cycle
+// budget: an *engine.GPU or a *mesh.Mesh.
+type KernelRunner interface {
+	RunKernels(budget uint64) error
+}
+
+// Finish runs every kernel launched on r to completion and decodes the
 // transmission.
-func (tr *Transmission) Finish(g *engine.GPU) (Result, error) {
+func (tr *Transmission) Finish(r KernelRunner) (Result, error) {
 	symbols := 0
 	for _, c := range tr.chunks {
 		symbols += len(c) + tr.params.ResyncGuardSlots
@@ -356,7 +362,7 @@ func (tr *Transmission) Finish(g *engine.GPU) (Result, error) {
 	if budget < 4_000_000 {
 		budget = 4_000_000
 	}
-	if err := g.RunKernels(budget); err != nil {
+	if err := r.RunKernels(budget); err != nil {
 		return Result{}, err
 	}
 	return tr.decode()
@@ -406,6 +412,39 @@ func (tr *Transmission) decode() (Result, error) {
 // only shape the wire stream, and calibration reads raw per-slot latencies
 // from the trace, not decoded symbols.
 func Calibrate(cfg *config.Config, p Params, preambleSlots int, co ...device.KernelSpec) (Params, error) {
+	return calibrate(p, preambleSlots, func(cal Params, payload []Symbol) (Result, error) {
+		var tr *Transmission
+		var err error
+		switch cal.Kind {
+		case GPCChannel:
+			tr, err = NewGPCTransmission(cfg, payload, []int{0}, cal)
+		default:
+			tr, err = NewTPCTransmission(cfg, payload, []int{0}, cal)
+		}
+		if err != nil {
+			return Result{}, err
+		}
+		g, err := engine.New(*cfg)
+		if err != nil {
+			return Result{}, err
+		}
+		if err := tr.Launch(g, 0); err != nil {
+			return Result{}, err
+		}
+		for _, k := range co {
+			if _, err := g.Launch(k); err != nil {
+				return Result{}, err
+			}
+		}
+		return tr.Finish(g)
+	})
+}
+
+// calibrate is the part of Calibrate and CalibrateRemote that does not
+// depend on the medium: it sends the known calibration payload, uncoded,
+// through transmit and returns p, fully defaulted, with thresholds at the
+// measured level-mean midpoints.
+func calibrate(p Params, preambleSlots int, transmit func(cal Params, payload []Symbol) (Result, error)) (Params, error) {
 	p2, err := p.withDefaults()
 	if err != nil {
 		return p, err
@@ -414,29 +453,7 @@ func Calibrate(cfg *config.Config, p Params, preambleSlots int, co ...device.Ker
 	payload := calibrationPayload(preambleSlots, levels)
 	cal := p2
 	cal.Coding, cal.Repeat, cal.PreambleSymbols, cal.ResyncGuardSlots = CodingNone, 0, 0, 0
-	var tr *Transmission
-	switch cal.Kind {
-	case GPCChannel:
-		tr, err = NewGPCTransmission(cfg, payload, []int{0}, cal)
-	default:
-		tr, err = NewTPCTransmission(cfg, payload, []int{0}, cal)
-	}
-	if err != nil {
-		return p, err
-	}
-	g, err := engine.New(*cfg)
-	if err != nil {
-		return p, err
-	}
-	if err := tr.Launch(g, 0); err != nil {
-		return p, err
-	}
-	for _, k := range co {
-		if _, err := g.Launch(k); err != nil {
-			return p, err
-		}
-	}
-	res, err := tr.Finish(g)
+	res, err := transmit(cal, payload)
 	if err != nil {
 		return p, err
 	}
@@ -466,8 +483,7 @@ func calibrationPayload(preambleSlots, levels int) []Symbol {
 
 // thresholdsFromTrace places a threshold at the midpoint between the mean
 // observed slot latencies of each adjacent pair of levels in a calibration
-// trace (the empirical threshold determination of §4.4). Shared by Calibrate
-// and CalibrateRemote.
+// trace (the empirical threshold determination of §4.4).
 func thresholdsFromTrace(trace []SlotTrace, payload []Symbol, levels int) ([]float64, error) {
 	sums := make([]float64, levels)
 	counts := make([]int, levels)

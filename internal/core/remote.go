@@ -153,23 +153,15 @@ func NewNVLinkTransmission(m *mesh.Mesh, sdev, rdev int, payload []Symbol, p Par
 func (nt *NVLinkTransmission) Run(launchSkew uint64) (Result, error) {
 	m, tr := nt.m, &nt.Transmission
 	windowBytes := uint64(2 * tr.cfg.SIMTWidth * tr.cfg.L2LineBytes)
-	m.Preload(nt.rdev, mesh.DevBase(nt.rdev)+remoteWindowBase, windowBytes)
-	m.Preload(nt.sdev, mesh.DevBase(nt.sdev)+remoteWindowBase, windowBytes)
-	if _, err := m.Launch(nt.sdev, tr.senderSpec); err != nil {
+	m.GPU(nt.rdev).Preload(mesh.DevBase(nt.rdev)+remoteWindowBase, windowBytes)
+	m.GPU(nt.sdev).Preload(mesh.DevBase(nt.sdev)+remoteWindowBase, windowBytes)
+	if _, err := m.GPU(nt.sdev).Launch(tr.senderSpec); err != nil {
 		return Result{}, err
 	}
 	if _, err := m.LaunchAt(nt.rdev, m.Now()+launchSkew, tr.receiverSpec); err != nil {
 		return Result{}, err
 	}
-	symbols := len(tr.chunks[0]) + tr.params.ResyncGuardSlots
-	budget := uint64(symbols+64) * tr.params.SlotCycles * 8
-	if budget < 4_000_000 {
-		budget = 4_000_000
-	}
-	if err := m.RunKernels(budget); err != nil {
-		return Result{}, err
-	}
-	return tr.decode()
+	return tr.Finish(m)
 }
 
 // CalibrateRemote is Calibrate for the NVLink channel: it transmits a known
@@ -180,34 +172,18 @@ func (nt *NVLinkTransmission) Run(launchSkew uint64) (Result, error) {
 // mesh built from the same base reproduces.
 func CalibrateRemote(base config.Config, gpus, sdev, rdev int, p Params, preambleSlots int) (Params, error) {
 	p.Kind = NVLinkChannel
-	p2, err := p.withDefaults()
-	if err != nil {
-		return p, err
-	}
 	if gpus == 0 {
 		gpus = 2
 	}
-	levels := p2.Levels()
-	payload := calibrationPayload(preambleSlots, levels)
-	cal := p2
-	cal.Coding, cal.Repeat, cal.PreambleSymbols, cal.ResyncGuardSlots = CodingNone, 0, 0, 0
-	m, err := mesh.New(base, gpus)
-	if err != nil {
-		return p, err
-	}
-	nt, err := NewNVLinkTransmission(m, sdev, rdev, payload, cal)
-	if err != nil {
-		return p, err
-	}
-	res, err := nt.Run(0)
-	if err != nil {
-		return p, err
-	}
-	ths, err := thresholdsFromTrace(res.Pairs[0].Trace, payload, levels)
-	if err != nil {
-		return p, err
-	}
-	p2.Thresholds = ths
-	p2.Threshold = ths[0]
-	return p2, nil
+	return calibrate(p, preambleSlots, func(cal Params, payload []Symbol) (Result, error) {
+		m, err := mesh.New(base, gpus)
+		if err != nil {
+			return Result{}, err
+		}
+		nt, err := NewNVLinkTransmission(m, sdev, rdev, payload, cal)
+		if err != nil {
+			return Result{}, err
+		}
+		return nt.Run(0)
+	})
 }

@@ -230,9 +230,12 @@ type MaskedStreamer struct {
 	// SMs is the ascending list of target physical SM ids; empty means
 	// every SM participates.
 	SMs []int
+	// Base offsets every window: zero on a single GPU, another device's
+	// window base when the stream crosses an NVLink mesh.
+	Base uint64
 	// Warp is this warp's index within its block, WarpsPerSM the block's
 	// warp count; together with SpanBytes they place each active warp in
-	// a disjoint address window: Base = (SMID*WarpsPerSM+Warp)*SpanBytes.
+	// a disjoint address window at Base+(SMID*WarpsPerSM+Warp)*SpanBytes.
 	Warp       int
 	WarpsPerSM int
 	SpanBytes  uint64
@@ -272,7 +275,7 @@ func (m *MaskedStreamer) Step(ctx *Ctx) Op {
 			m.SMID = ctx.SMID
 			m.StartClock = ctx.Clock64
 			m.inner = Streamer{
-				Base:        uint64(ctx.SMID*m.WarpsPerSM+m.Warp) * m.SpanBytes,
+				Base:        m.Base + uint64(ctx.SMID*m.WarpsPerSM+m.Warp)*m.SpanBytes,
 				LineBytes:   m.LineBytes,
 				Write:       m.Write,
 				Count:       m.Count,

@@ -66,7 +66,7 @@ type GPU struct {
 	// Activity-driven scheduling: SMs are woken by AddWarp/OnReply and
 	// parked by step once Quiescent() holds. smSet is nil when
 	// cfg.ExhaustiveTick is set, selecting the tick-everything reference
-	// path. running counts kernels not yet done, so RunFor can fast-forward
+	// path. running counts kernels not yet done, so Run can fast-forward
 	// across stretches where no component holds work.
 	smSet   *sched.ActiveSet
 	running int
@@ -83,7 +83,7 @@ type GPU struct {
 
 	schedCycles *probe.Counter // cycles actually stepped (not fast-forwarded)
 	smTicks     *probe.Counter // SM Tick calls under the activity scheduler
-	ffwdCycles  *probe.Counter // cycles skipped by RunFor's idle fast-forward
+	ffwdCycles  *probe.Counter // cycles skipped by Run's idle fast-forward
 
 	// tel is cached from the configuration so the run loops pay a single
 	// nil check per cycle when telemetry is off. The sampler is stepped
@@ -273,17 +273,6 @@ func (g *GPU) step() {
 	g.now++
 }
 
-// quiet reports whether every component is parked and no kernel is running:
-// no future cycle can do work until the next Launch, so cycles may be
-// skipped wholesale. Always false in exhaustive mode.
-func (g *GPU) quiet() bool {
-	if g.rmt != nil && !g.rmt.boxesEmpty() {
-		return false
-	}
-	return g.smSet != nil && g.running == 0 && g.smSet.Empty() &&
-		g.net.Quiet() && g.part.Quiet()
-}
-
 func (g *GPU) updateKernels() {
 	for _, k := range g.kernels {
 		if k.done {
@@ -321,84 +310,95 @@ func (g *GPU) updateKernels() {
 	}
 }
 
-// RunFor advances the simulation n cycles. When the activity scheduler
-// reports the whole device parked with no kernel running, the remaining
-// cycles are skipped in one jump: nothing can change state until the next
-// Launch, and every per-cycle observable (clock registers, probe snapshots)
-// is a pure function of the cycle number.
-//
-// The telemetry sampler is stepped here rather than inside step() so quiet
-// stretches keep their one-jump fast path: the registry cannot change while
-// the device is parked, so handing the sampler the whole skipped span at
-// once emits the same windows stepping would have.
-func (g *GPU) RunFor(n uint64) {
-	for i := uint64(0); i < n; i++ {
-		if g.quiet() {
-			skipped := n - i
-			g.now += skipped
-			if g.ffwdCycles != nil {
-				g.ffwdCycles.Add(skipped)
-			}
-			if g.tel != nil {
-				g.tel.Step(skipped, g.cfg.Probes)
-			}
-			break
+// Stepper is a simulated system that Run can drive: one GPU or an NVLink
+// mesh of them.
+type Stepper interface {
+	// Quiet reports whether stepping would be a no-op: every component is
+	// parked and nothing can change state until the next launch.
+	Quiet() bool
+	// StepCycle advances exactly one cycle.
+	StepCycle()
+	// SkipCycles advances n cycles without stepping; Run calls it only
+	// while Quiet holds.
+	SkipCycles(n uint64)
+}
+
+// Run advances s until cond returns true or budget cycles have passed, and
+// reports how many cycles it advanced and whether cond fired. A nil cond
+// never fires. It is the one loop behind every RunFor and RunUntil, of a GPU
+// and of a mesh alike: a busy system is stepped one cycle at a time, and a
+// quiet one is skipped, since nothing can change state until the next
+// launch and every per-cycle observable (clock registers, probe snapshots)
+// is a pure function of the cycle number. cond is evaluated at every cycle
+// boundary, skipped ones included, so it fires at the cycle and on the
+// state the stepped loop would have; without a cond the remaining budget is
+// skipped in one jump.
+func Run(s Stepper, cond func() bool, budget uint64) (ran uint64, fired bool) {
+	for ran < budget {
+		if cond != nil && cond() {
+			return ran, true
 		}
-		g.step()
-		if g.tel != nil {
-			g.tel.Step(1, g.cfg.Probes)
+		if !s.Quiet() {
+			s.StepCycle()
+			ran++
+			continue
 		}
+		if cond == nil {
+			s.SkipCycles(budget - ran)
+			return budget, false
+		}
+		s.SkipCycles(1)
+		ran++
 	}
+	return ran, cond != nil && cond()
+}
+
+// Quiet reports whether every component is parked, no kernel is running
+// and no packet waits in a remote outbox: no future cycle can do work until
+// the next Launch or AcceptRemote. Always false in exhaustive mode.
+func (g *GPU) Quiet() bool {
+	if g.rmt != nil && !g.rmt.boxesEmpty() {
+		return false
+	}
+	return g.smSet != nil && g.running == 0 && g.smSet.Empty() &&
+		g.net.Quiet() && g.part.Quiet()
+}
+
+// StepCycle advances the device one cycle, then steps the telemetry sampler
+// by one (outside step(); see the tel field).
+func (g *GPU) StepCycle() {
+	g.step()
+	if g.tel != nil {
+		g.tel.Step(1, g.cfg.Probes)
+	}
+}
+
+// SkipCycles advances the device n cycles without stepping; the caller must
+// have established Quiet (a mesh checks it across all devices and links).
+// The registry cannot change while the device is parked, so handing the
+// sampler the whole span in one call emits the windows stepping would have.
+func (g *GPU) SkipCycles(n uint64) {
+	g.now += n
+	if g.ffwdCycles != nil {
+		g.ffwdCycles.Add(n)
+	}
+	if g.tel != nil {
+		g.tel.Step(n, g.cfg.Probes)
+	}
+}
+
+// RunFor advances the simulation n cycles.
+func (g *GPU) RunFor(n uint64) {
+	Run(g, nil, n)
 	g.cfg.Meter.Add(n)
 }
 
 // RunUntil advances the simulation until cond returns true or the cycle
-// budget is exhausted; it reports whether cond fired. Like RunFor it
-// fast-forwards once the whole device is parked with no kernel running:
-// step() would be a no-op then, so the clock is advanced directly and the
-// telemetry sampler is handed the skipped span in one call. cond is still
-// evaluated at every cycle boundary the stepped loop would have checked —
-// per-cycle observables such as clock registers are pure functions of the
-// cycle number — so the cycle at which cond first fires, and the state cond
-// observes, are unchanged.
+// budget is exhausted; it reports whether cond fired.
 func (g *GPU) RunUntil(cond func() bool, budget uint64) bool {
-	ran := uint64(0)
-	defer func() { g.cfg.Meter.Add(ran) }()
-	for i := uint64(0); i < budget; i++ {
-		if cond() {
-			return true
-		}
-		if g.quiet() {
-			remaining := budget - i
-			skipped := uint64(0)
-			fired := false
-			for skipped < remaining {
-				g.now++
-				skipped++
-				if skipped < remaining && cond() {
-					fired = true
-					break
-				}
-			}
-			ran += skipped
-			if g.ffwdCycles != nil {
-				g.ffwdCycles.Add(skipped)
-			}
-			if g.tel != nil {
-				g.tel.Step(skipped, g.cfg.Probes)
-			}
-			if fired {
-				return true
-			}
-			break
-		}
-		g.step()
-		if g.tel != nil {
-			g.tel.Step(1, g.cfg.Probes)
-		}
-		ran++
-	}
-	return cond()
+	ran, fired := Run(g, cond, budget)
+	g.cfg.Meter.Add(ran)
+	return fired
 }
 
 // RunKernels runs until every launched kernel has completed, with a cycle

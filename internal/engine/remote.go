@@ -144,33 +144,3 @@ func (g *GPU) AcceptRemote(now uint64, p *packet.Packet) {
 	}
 	g.sms[p.Tag.SM].OnReply(now, p)
 }
-
-// StepCycle advances the device exactly one cycle, stepping the telemetry
-// sampler alongside. It is the mesh's per-cycle entry point — the mesh owns
-// fast-forward decisions (SkipCycles) and cycle-meter accounting, so unlike
-// RunFor this neither skips quiet stretches nor touches Config.Meter.
-func (g *GPU) StepCycle() {
-	g.step()
-	if g.tel != nil {
-		g.tel.Step(1, g.cfg.Probes)
-	}
-}
-
-// SkipCycles fast-forwards the device n cycles without stepping. The caller
-// must have established that the device is Quiet — nothing can change state
-// until the next Launch or AcceptRemote — which the mesh checks across all
-// devices and links before skipping any of them.
-func (g *GPU) SkipCycles(n uint64) {
-	g.now += n
-	if g.ffwdCycles != nil {
-		g.ffwdCycles.Add(n)
-	}
-	if g.tel != nil {
-		g.tel.Step(n, g.cfg.Probes)
-	}
-}
-
-// Quiet reports whether the device is fully parked — no active component,
-// no running kernel, no packet waiting in a remote outbox — so stepping it
-// would be a no-op. Always false in exhaustive mode.
-func (g *GPU) Quiet() bool { return g.quiet() }

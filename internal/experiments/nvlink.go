@@ -71,7 +71,7 @@ func streamLatency(cfg *config.Config, n, target, count int) (float64, uint64, e
 	}
 	const window = 8192
 	base := mesh.DevBase(target) + 0x200000
-	m.Preload(target, base, window)
+	m.GPU(target).Preload(base, window)
 	var progs []*device.Streamer
 	spec := device.KernelSpec{
 		Name:          fmt.Sprintf("nvlink-stream-d%d", target),
@@ -89,7 +89,7 @@ func streamLatency(cfg *config.Config, n, target, count int) (float64, uint64, e
 			return s
 		},
 	}
-	if _, err := m.Launch(0, spec); err != nil {
+	if _, err := m.GPU(0).Launch(spec); err != nil {
 		return 0, 0, err
 	}
 	if err := m.RunKernels(100_000_000); err != nil {

@@ -68,9 +68,11 @@ func Table1(cfg *config.Config) *Figure {
 		cfg.L1SizeBytes/1024, cfg.NumL2Slices, cfg.L2SliceSizeBytes/1024)
 	add("Memory Model", "%d MCs, HBM2, tCL=%d, tRP=%d, tRC=%d, tRAS=%d, tRCD=%d, tRRD=%d",
 		cfg.NumMCs, cfg.DRAM.TCL, cfg.DRAM.TRP, cfg.DRAM.TRC, cfg.DRAM.TRAS, cfg.DRAM.TRCD, cfg.DRAM.TRRD)
-	add("Interconnect", "%dMHz, Crossbar, flit_size=%d, num_vcs=%d, subnet=%d, arbitration=%s",
-		cfg.CoreClockMHz, cfg.NoC.FlitSizeBytes, cfg.NoC.NumVCs, cfg.NoC.Subnets,
-		cfg.NoC.Arbitration)
+	// The flit size, VC count and subnet count are fixed by the model, not
+	// configured: packet.DataFlits spans a sector in 40-byte flits, and
+	// noc.New builds one VC per link on separate request and reply subnets.
+	add("Interconnect", "%dMHz, Crossbar, flit_size=40, num_vcs=1, subnet=2, arbitration=%s",
+		cfg.CoreClockMHz, cfg.NoC.Arbitration)
 	return f
 }
 

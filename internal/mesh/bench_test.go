@@ -28,7 +28,7 @@ func BenchmarkEngineTick(b *testing.B) {
 		for d := 0; d < 2; d++ {
 			peer := 1 - d
 			base := DevBase(peer) + 0x200000 + uint64(d)*0x40000
-			m.Preload(peer, base, window*uint64(cfg.NumSMs()))
+			m.GPU(peer).Preload(base, window*uint64(cfg.NumSMs()))
 			spec := device.KernelSpec{
 				Name:          fmt.Sprintf("bench-cross%d", d),
 				Blocks:        cfg.NumSMs(),
@@ -44,7 +44,7 @@ func BenchmarkEngineTick(b *testing.B) {
 					}
 				},
 			}
-			if _, err := m.Launch(d, spec); err != nil {
+			if _, err := m.GPU(d).Launch(spec); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -23,9 +23,10 @@
 // last cycle's inbound packets, step the device one cycle, drain its
 // outboxes onto first-hop links — then tick every fabric link in a fixed
 // build order. The drain orders are canonical (see engine.DrainRemote), so
-// the whole mesh is as deterministic as a single engine. When every device
-// is parked and the fabric is empty, whole stretches of cycles are skipped
-// in one jump (the same fast-forward engine.RunFor performs).
+// the whole mesh is as deterministic as a single engine. The mesh is an
+// engine.Stepper: RunFor and RunUntil are engine.Run, the loop that drives a
+// single GPU, so a mesh whose devices are all parked and whose fabric is
+// empty skips cycles exactly as a parked GPU does.
 package mesh
 
 import (
@@ -60,8 +61,9 @@ func DevOfAddr(addr uint64, n int) int {
 }
 
 // Mesh is a fixed set of GPUs in lockstep plus the NVLink fabric between
-// them. Build one with New; drive it with Launch/RunFor/RunUntil/RunKernels
-// — member devices must not be stepped directly (the mesh owns the clock).
+// them. Build one with New, preload and launch through GPU(d), and drive it
+// with LaunchAt/RunFor/RunUntil/RunKernels — member devices must not be
+// stepped directly (the mesh owns the clock).
 type Mesh struct {
 	cfgs  []config.Config
 	gpus  []*engine.GPU

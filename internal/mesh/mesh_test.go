@@ -64,8 +64,8 @@ func TestMeshRemoteVsLocal(t *testing.T) {
 	lineBytes := cfg.L2LineBytes
 
 	localSpec, localProgs := streamerSpec("local", 1, count, DevBase(0)+0x100000, window, false, lineBytes)
-	m.Preload(0, DevBase(0)+0x100000, window)
-	if _, err := m.Launch(0, localSpec); err != nil {
+	m.GPU(0).Preload(DevBase(0)+0x100000, window)
+	if _, err := m.GPU(0).Launch(localSpec); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.RunKernels(4_000_000); err != nil {
@@ -73,8 +73,8 @@ func TestMeshRemoteVsLocal(t *testing.T) {
 	}
 
 	remoteSpec, remoteProgs := streamerSpec("remote", 1, count, DevBase(1)+0x100000, window, false, lineBytes)
-	m.Preload(1, DevBase(1)+0x100000, window)
-	if _, err := m.Launch(0, remoteSpec); err != nil {
+	m.GPU(1).Preload(DevBase(1)+0x100000, window)
+	if _, err := m.GPU(0).Launch(remoteSpec); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.RunKernels(8_000_000); err != nil {
@@ -109,7 +109,7 @@ func launchCrossTraffic(t *testing.T, m *Mesh, count int) {
 	for d := 0; d < m.NumDevices(); d++ {
 		peer := (d + 1) % m.NumDevices()
 		base := DevBase(peer) + 0x200000 + uint64(d)*0x40000
-		m.Preload(peer, base, window*uint64(cfg.NumSMs()))
+		m.GPU(peer).Preload(base, window*uint64(cfg.NumSMs()))
 		spec := device.KernelSpec{
 			Name:          fmt.Sprintf("cross%d", d),
 			Blocks:        cfg.NumSMs(),
@@ -125,7 +125,7 @@ func launchCrossTraffic(t *testing.T, m *Mesh, count int) {
 				}
 			},
 		}
-		if _, err := m.Launch(d, spec); err != nil {
+		if _, err := m.GPU(d).Launch(spec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -257,44 +257,71 @@ func TestMeshRejectsAliasedConfigs(t *testing.T) {
 
 // TestMeshSingleDeviceMatchesStandalone pins the degenerate case: a
 // 1-device mesh is bit-identical to a standalone engine with the same
-// config — same kernel timings, same partition stats, same clock.
+// config. Both sides go through the same run API — a delayed LaunchAt,
+// RunKernels, a quiet RunFor and a cycle-valued RunUntil — and must agree on
+// the clock, kernel timestamps, partition stats and cycle meter.
 func TestMeshSingleDeviceMatchesStandalone(t *testing.T) {
 	cfg := config.Small()
 	cfg.Seed = 5
 
-	m, err := New(cfg, 1)
+	type runner interface {
+		Now() uint64
+		RunFor(n uint64)
+		RunUntil(cond func() bool, budget uint64) bool
+		RunKernels(budget uint64) error
+	}
+	drive := func(r runner, g *engine.GPU, launchAt func(at uint64, spec device.KernelSpec) (*engine.Kernel, error)) {
+		t.Helper()
+		spec, _ := streamerSpec("solo", 2, 50, 0x40000, 8192, true, cfg.L2LineBytes)
+		g.Preload(0x40000, 2*8192)
+		if _, err := launchAt(300, spec); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.RunKernels(4_000_000); err != nil {
+			t.Fatal(err)
+		}
+		r.RunFor(5_000)
+		target := r.Now() + 777
+		if !r.RunUntil(func() bool { return r.Now() >= target }, 1_000_000) {
+			t.Fatal("cycle-valued cond never fired")
+		}
+		if r.Now() != target {
+			t.Errorf("cycle-valued cond fired at %d, want %d", r.Now(), target)
+		}
+	}
+
+	mcfg := cfg
+	mcfg.Meter = &config.CycleMeter{}
+	m, err := New(mcfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, _ := streamerSpec("solo", 2, 50, 0x40000, 8192, true, cfg.L2LineBytes)
-	m.Preload(0, 0x40000, 2*8192)
-	if _, err := m.Launch(0, spec); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.RunKernels(4_000_000); err != nil {
-		t.Fatal(err)
-	}
+	drive(m, m.GPU(0), func(at uint64, spec device.KernelSpec) (*engine.Kernel, error) {
+		return m.LaunchAt(0, at, spec)
+	})
 
-	g, err := engine.New(cfg)
+	gcfg := cfg
+	gcfg.Meter = &config.CycleMeter{}
+	g, err := engine.New(gcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec2, _ := streamerSpec("solo", 2, 50, 0x40000, 8192, true, cfg.L2LineBytes)
-	g.Preload(0x40000, 2*8192)
-	if _, err := g.Launch(spec2); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.RunKernels(4_000_000); err != nil {
-		t.Fatal(err)
-	}
+	drive(g, g, g.LaunchAt)
 
+	if m.Now() != g.Now() {
+		t.Errorf("clock diverged: mesh %d standalone %d", m.Now(), g.Now())
+	}
 	mk, gk := m.GPU(0).Kernels()[0], g.Kernels()[0]
-	if mk.Duration() != gk.Duration() {
-		t.Errorf("kernel duration diverged: mesh %d standalone %d", mk.Duration(), gk.Duration())
+	if mk.LaunchedAt != gk.LaunchedAt || mk.FinishedAt != gk.FinishedAt {
+		t.Errorf("kernel timestamps diverged: mesh %d..%d standalone %d..%d",
+			mk.LaunchedAt, mk.FinishedAt, gk.LaunchedAt, gk.FinishedAt)
 	}
 	ms, gs := m.GPU(0).Partition().Stats(), g.Partition().Stats()
 	if ms != gs {
 		t.Errorf("partition stats diverged: mesh %+v standalone %+v", ms, gs)
+	}
+	if a, b := mcfg.Meter.Load(), gcfg.Meter.Load(); a != b || a != g.Now() {
+		t.Errorf("cycle meters diverged: mesh %d standalone %d, want both %d", a, b, g.Now())
 	}
 }
 
@@ -323,9 +350,9 @@ func TestMeshTopologies(t *testing.T) {
 			// link.
 			const window = uint64(8192)
 			base := DevBase(2) + 0x80000
-			m.Preload(2, base, window)
+			m.GPU(2).Preload(base, window)
 			spec, progs := streamerSpec("hop", 1, 30, base, window, true, cfg.L2LineBytes)
-			if _, err := m.Launch(0, spec); err != nil {
+			if _, err := m.GPU(0).Launch(spec); err != nil {
 				t.Fatal(err)
 			}
 			if err := m.RunKernels(8_000_000); err != nil {

@@ -1,5 +1,6 @@
-// The mesh's global tick loop and run API, mirroring engine.RunFor /
-// RunUntil / RunKernels at the multi-device level.
+// The mesh's global cycle and run API. The mesh is an engine.Stepper, so
+// RunFor and RunUntil are engine.Run over the whole mesh, the same loop that
+// drives a single GPU.
 package mesh
 
 import (
@@ -24,15 +25,6 @@ func (m *Mesh) Now() uint64 { return m.now }
 // tests. Callers must not enqueue on or tick them.
 func (m *Mesh) Links() []*link.Link { return m.links }
 
-// Preload warms device d's L2 with the global address range
-// [base, base+size) — base must lie in d's window.
-func (m *Mesh) Preload(d int, base, size uint64) { m.gpus[d].Preload(base, size) }
-
-// Launch places a kernel on device d at the current global cycle.
-func (m *Mesh) Launch(d int, spec device.KernelSpec) (*engine.Kernel, error) {
-	return m.gpus[d].Launch(spec)
-}
-
 // LaunchAt runs the whole mesh until global cycle at, then launches the
 // kernel on device d — the multi-device analogue of engine.LaunchAt for
 // modeling MPS-style launch skew.
@@ -41,7 +33,7 @@ func (m *Mesh) LaunchAt(d int, at uint64, spec device.KernelSpec) (*engine.Kerne
 		return nil, fmt.Errorf("mesh: launch cycle %d is in the past (now %d)", at, m.now)
 	}
 	m.RunFor(at - m.now)
-	return m.Launch(d, spec)
+	return m.gpus[d].Launch(spec)
 }
 
 // stepCycle advances the whole mesh one global cycle in the canonical
@@ -67,9 +59,14 @@ func (m *Mesh) stepCycle() {
 	m.now++
 }
 
-// quiet reports whether no future cycle can do work: every device parked
+// StepCycle advances the whole mesh one global cycle. The work stays in
+// stepCycle, the symbol cmd/gpunoc-bench's traced run attributes
+// mesh.step_s to.
+func (m *Mesh) StepCycle() { m.stepCycle() }
+
+// Quiet reports whether no future cycle can do work: every device parked
 // with empty outboxes, every fabric link drained, every inbox empty.
-func (m *Mesh) quiet() bool {
+func (m *Mesh) Quiet() bool {
 	for _, g := range m.gpus {
 		if !g.Quiet() {
 			return false
@@ -88,10 +85,10 @@ func (m *Mesh) quiet() bool {
 	return true
 }
 
-// skip fast-forwards the whole mesh n cycles: the caller must have
-// established quiet(). Device clocks, fast-forward counters, and telemetry
-// samplers all advance as if stepped.
-func (m *Mesh) skip(n uint64) {
+// SkipCycles advances the whole mesh n cycles without stepping; the caller
+// must have established Quiet. Device clocks, fast-forward counters and
+// telemetry samplers all advance as if stepped.
+func (m *Mesh) SkipCycles(n uint64) {
 	for _, g := range m.gpus {
 		g.SkipCycles(n)
 	}
@@ -108,43 +105,18 @@ func (m *Mesh) meterAdd(n uint64) {
 	m.meter.Add(n * uint64(len(m.gpus)))
 }
 
-// RunFor advances the mesh n global cycles, skipping quiet stretches in one
-// jump exactly like engine.RunFor.
+// RunFor advances the mesh n global cycles.
 func (m *Mesh) RunFor(n uint64) {
-	for i := uint64(0); i < n; i++ {
-		if m.quiet() {
-			m.skip(n - i)
-			break
-		}
-		m.stepCycle()
-	}
+	engine.Run(m, nil, n)
 	m.meterAdd(n)
 }
 
 // RunUntil advances the mesh until cond returns true or the cycle budget is
-// exhausted; it reports whether cond fired. Once the mesh is fully quiet
-// with cond still false, the remaining budget is skipped in one jump and
-// cond is evaluated once more at the final cycle (a quiet mesh's state is a
-// pure function of the cycle number, so nothing in between could have
-// fired it that does not fire at the end — cond should therefore not be a
-// one-shot predicate of an intermediate cycle number).
+// exhausted; it reports whether cond fired.
 func (m *Mesh) RunUntil(cond func() bool, budget uint64) bool {
-	ran := uint64(0)
-	defer func() { m.meterAdd(ran) }()
-	for i := uint64(0); i < budget; i++ {
-		if cond() {
-			return true
-		}
-		if m.quiet() {
-			skipped := budget - i
-			m.skip(skipped)
-			ran += skipped
-			break
-		}
-		m.stepCycle()
-		ran++
-	}
-	return cond()
+	ran, fired := engine.Run(m, cond, budget)
+	m.meterAdd(ran)
+	return fired
 }
 
 // RunKernels runs until every kernel launched on every device has
