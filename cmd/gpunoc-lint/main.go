@@ -1,6 +1,6 @@
 // Command gpunoc-lint runs the repository's static-analysis suite: the
-// layering, determinism, tickmodel, and purity analyzers from internal/lint,
-// which mechanically enforce the invariants documented in
+// layering, determinism, tickmodel, purity and godoc analyzers from
+// internal/lint, which mechanically enforce the invariants documented in
 // docs/ARCHITECTURE.md ("Enforced invariants").
 //
 // Usage:
@@ -17,10 +17,6 @@
 // are findings, and 2 on a usage or load error. Individual findings can be
 // waived in source with "//lint:allow <rule> <reason>" on the offending line
 // or the line above.
-//
-// The whole-program analyzer (hotalloc) computes reachability from entry
-// points in internal/engine; linting a sub-pattern that excludes those
-// packages turns it into a no-op, so CI always lints "./...".
 package main
 
 import (

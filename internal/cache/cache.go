@@ -51,11 +51,17 @@ type line struct {
 
 // Cache is a blocking-free set-associative cache model. It tracks presence
 // and recency, not data contents (the simulator is timing-only).
+//
+// The valid ways of every set form a prefix: a fill takes the set's first
+// invalid way, and nothing ever invalidates a line, so every scan stops at
+// the first invalid way. The line array itself is allocated on the first
+// Access or Fill; most per-SM L1s never see either, because probe traffic
+// bypasses them.
 type Cache struct {
 	lineBytes uint64
 	sets      uint64
 	ways      int
-	lines     []line // sets*ways, row-major by set
+	lines     []line // sets*ways, row-major by set; nil until first used
 
 	mshrs   map[uint64]int // line address -> merged request count
 	mshrCap int
@@ -108,7 +114,6 @@ func New(sizeBytes, lineBytes, ways, mshrs int) (*Cache, error) {
 		lineBytes: uint64(lineBytes),
 		sets:      uint64(sets),
 		ways:      ways,
-		lines:     make([]line, sets*ways),
 		mshrs:     make(map[uint64]int, mshrs),
 		mshrCap:   mshrs,
 	}, nil
@@ -119,7 +124,29 @@ func (c *Cache) LineAddr(addr uint64) uint64 { return addr &^ (c.lineBytes - 1) 
 
 func (c *Cache) setOf(lineAddr uint64) uint64 { return (lineAddr / c.lineBytes) % c.sets }
 
-func (c *Cache) slot(set uint64, way int) *line { return &c.lines[set*uint64(c.ways)+uint64(way)] }
+// set returns the ways of the set holding lineAddr, allocating the line
+// array on first use.
+func (c *Cache) set(lineAddr uint64) []line {
+	if c.lines == nil {
+		c.lines = make([]line, c.sets*uint64(c.ways))
+	}
+	i := c.setOf(lineAddr) * uint64(c.ways)
+	return c.lines[i : i+uint64(c.ways)]
+}
+
+// find returns the way holding lineAddr, or -1. Because valid ways form a
+// prefix, free is the first invalid way (ways when the set is full).
+func find(set []line, lineAddr uint64) (way, free int) {
+	for w := range set {
+		if !set[w].valid {
+			return -1, w
+		}
+		if set[w].tag == lineAddr {
+			return w, -1
+		}
+	}
+	return -1, len(set)
+}
 
 // Access looks up addr. On a hit the line's recency is updated (and marked
 // dirty for writes). On a miss an MSHR is allocated (Miss) or merged
@@ -127,21 +154,19 @@ func (c *Cache) slot(set uint64, way int) *line { return &c.lines[set*uint64(c.w
 // for calling Fill once the memory fetch returns.
 func (c *Cache) Access(addr uint64, write bool) Result {
 	la := c.LineAddr(addr)
-	set := c.setOf(la)
+	set := c.set(la)
 	c.useTick++
-	for w := 0; w < c.ways; w++ {
-		s := c.slot(set, w)
-		if s.valid && s.tag == la {
-			s.used = c.useTick
-			if write {
-				s.dirty = true
-			}
-			c.hits++
-			if c.pr != nil {
-				c.pr.hits.Inc()
-			}
-			return Hit
+	if w, _ := find(set, la); w >= 0 {
+		s := &set[w]
+		s.used = c.useTick
+		if write {
+			s.dirty = true
 		}
+		c.hits++
+		if c.pr != nil {
+			c.pr.hits.Inc()
+		}
+		return Hit
 	}
 	if _, ok := c.mshrs[la]; ok {
 		c.mshrs[la]++
@@ -168,23 +193,23 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 }
 
 // Probe reports whether addr is resident without touching recency or
-// counters (used by tests and the prime+probe baseline channel).
+// counters (used by tests and the prime+probe baseline channel). A cache
+// that was never filled holds nothing.
 func (c *Cache) Probe(addr uint64) bool {
-	la := c.LineAddr(addr)
-	set := c.setOf(la)
-	for w := 0; w < c.ways; w++ {
-		s := c.slot(set, w)
-		if s.valid && s.tag == la {
-			return true
-		}
+	if c.lines == nil {
+		return false
 	}
-	return false
+	la := c.LineAddr(addr)
+	w, _ := find(c.set(la), la)
+	return w >= 0
 }
 
 // Fill installs the line for addr (completing its MSHR if one is pending)
 // and returns the number of merged requests that were waiting plus whether a
 // dirty line was evicted (requiring a writeback). Filling an address with no
-// pending MSHR is allowed (preloads use it) and returns waiters == 0.
+// pending MSHR is allowed (preloads use it) and returns waiters == 0. A set
+// with a free way never evicts; a full set evicts its least recently used
+// line.
 func (c *Cache) Fill(addr uint64, write bool) (waiters int, writeback bool) {
 	la := c.LineAddr(addr)
 	if n, ok := c.mshrs[la]; ok {
@@ -194,56 +219,33 @@ func (c *Cache) Fill(addr uint64, write bool) (waiters int, writeback bool) {
 			c.pr.mshr.Add(-1)
 		}
 	}
-	set := c.setOf(la)
+	set := c.set(la)
 	c.useTick++
-	// Already resident (a racing preload): refresh recency only.
-	for w := 0; w < c.ways; w++ {
-		s := c.slot(set, w)
-		if s.valid && s.tag == la {
-			s.used = c.useTick
-			if write {
-				s.dirty = true
+	w, free := find(set, la)
+	if w >= 0 {
+		// Already resident (a racing preload): refresh recency only.
+		set[w].used = c.useTick
+		if write {
+			set[w].dirty = true
+		}
+		return waiters, false
+	}
+	if free == len(set) {
+		// Full set: the least recently used line makes way.
+		free = 0
+		for w := 1; w < len(set); w++ {
+			if set[w].used < set[free].used {
+				free = w
 			}
-			return waiters, false
 		}
-	}
-	victim := 0
-	for w := 0; w < c.ways; w++ {
-		s := c.slot(set, w)
-		if !s.valid {
-			victim = w
-			break
-		}
-		if s.used < c.slot(set, victim).used {
-			victim = w
-		}
-	}
-	v := c.slot(set, victim)
-	if v.valid {
 		c.evictions++
-		if v.dirty {
+		if set[free].dirty {
 			c.writebacks++
 			writeback = true
 		}
 	}
-	*v = line{valid: true, dirty: write, tag: la, used: c.useTick}
+	set[free] = line{valid: true, dirty: write, tag: la, used: c.useTick}
 	return waiters, writeback
-}
-
-// Invalidate drops the line containing addr if resident, returning whether
-// it was dirty.
-func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	la := c.LineAddr(addr)
-	set := c.setOf(la)
-	for w := 0; w < c.ways; w++ {
-		s := c.slot(set, w)
-		if s.valid && s.tag == la {
-			present, dirty = true, s.dirty
-			*s = line{}
-			return
-		}
-	}
-	return false, false
 }
 
 // PendingMSHRs returns the number of outstanding miss entries.

@@ -117,23 +117,64 @@ func TestWriteHitMarksDirty(t *testing.T) {
 	if c.Access(0x010, true) != Hit {
 		t.Fatal("write should hit")
 	}
-	if _, dirty := c.Invalidate(0x000); !dirty {
+	c.Fill(0x100, false)
+	// 0x000 is now the LRU line of the full set; evicting it must write
+	// back.
+	if _, wb := c.Fill(0x200, false); !wb {
 		t.Error("write hit did not mark line dirty")
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := mk(t, 64, 32, 2, 8)
-	if p, _ := c.Invalidate(0x40); p {
-		t.Error("invalidate of absent line reported present")
+// TestFillEvictsOnlyFromFullSet pins the replacement rule: a fill into a set
+// with a free way takes that way and evicts nothing, and a fill into a full
+// set evicts the least recently used line, whatever way it sits in.
+func TestFillEvictsOnlyFromFullSet(t *testing.T) {
+	// One set: 128 bytes, 32-byte lines, 4 ways.
+	c := mk(t, 128, 32, 4, 8)
+	for i, addr := range []uint64{0x000, 0x100, 0x200, 0x300} {
+		if _, wb := c.Fill(addr, true); wb {
+			t.Fatalf("fill %d into a set with a free way wrote back", i)
+		}
+		if st := c.Stats(); st.Evictions != 0 {
+			t.Fatalf("fill %d into a set with a free way evicted (%+v)", i, st)
+		}
 	}
-	c.Access(0x40, false)
-	c.Fill(0x40, false)
-	if p, d := c.Invalidate(0x40); !p || d {
-		t.Errorf("invalidate = %v/%v, want present/clean", p, d)
+	// Touch every line but 0x200, so the LRU line sits in a middle way.
+	for _, addr := range []uint64{0x000, 0x100, 0x300} {
+		if c.Access(addr, false) != Hit {
+			t.Fatalf("0x%x should be resident", addr)
+		}
 	}
+	if _, wb := c.Fill(0x400, false); !wb {
+		t.Error("evicting a dirty line must write back")
+	}
+	if st := c.Stats(); st.Evictions != 1 {
+		t.Errorf("evictions = %d, want 1", st.Evictions)
+	}
+	for _, addr := range []uint64{0x000, 0x100, 0x300, 0x400} {
+		if !c.Probe(addr) {
+			t.Errorf("0x%x evicted, want only the LRU line 0x200 gone", addr)
+		}
+	}
+	if c.Probe(0x200) {
+		t.Error("LRU line 0x200 survived")
+	}
+}
+
+// TestLinesAllocatedOnFirstUse pins the lazy line array: a cache that was
+// never accessed or filled holds no lines and probes as empty, and the
+// first fill makes its line resident.
+func TestLinesAllocatedOnFirstUse(t *testing.T) {
+	c := mk(t, 4096, 32, 4, 8)
 	if c.Probe(0x40) {
-		t.Error("line survived invalidate")
+		t.Error("a never-filled cache reported a resident line")
+	}
+	if c.lines != nil {
+		t.Error("Probe allocated the line array")
+	}
+	c.Fill(0x40, false)
+	if !c.Probe(0x40) || c.Probe(0x80) {
+		t.Error("first fill did not install exactly its line")
 	}
 }
 
@@ -152,11 +193,16 @@ func TestRefillResidentLineKeepsOneCopy(t *testing.T) {
 	c := mk(t, 64, 32, 2, 8)
 	c.Fill(0x0, false)
 	c.Fill(0x0, true) // refresh, now dirty
-	if p, d := c.Invalidate(0x0); !p || !d {
-		t.Errorf("refresh fill lost dirtiness: %v/%v", p, d)
+	// A duplicate copy would have taken the set's second way, so this fill
+	// would evict.
+	if _, wb := c.Fill(0x100, false); wb || c.Stats().Evictions != 0 {
+		t.Errorf("refill of a resident line took a second way (%+v)", c.Stats())
+	}
+	if _, wb := c.Fill(0x200, false); !wb {
+		t.Error("refresh fill lost dirtiness")
 	}
 	if c.Probe(0x0) {
-		t.Error("duplicate copy present after invalidate")
+		t.Error("evicted line still present")
 	}
 }
 

@@ -87,8 +87,8 @@ type GPU struct {
 
 	// tel is cached from the configuration so the run loops pay a single
 	// nil check per cycle when telemetry is off. The sampler is stepped
-	// outside step() — the hot-allocation lint root — because emitting a
-	// window builds the window's maps, which allocates.
+	// outside step(), which the allocation gates hold to zero allocations,
+	// because emitting a window builds the window's maps.
 	tel *telemetry.Sampler
 }
 
@@ -244,18 +244,25 @@ func (g *GPU) LaunchAt(at uint64, spec device.KernelSpec) (*Kernel, error) {
 // the fabric moves packets, the memory partitions service requests. Under
 // activity-driven scheduling only active SMs tick (in ascending id order,
 // matching the exhaustive loop); an SM whose warps are all stalled on memory
-// parks itself until a reply or a new warp wakes it.
+// parks itself until a reply or a new warp wakes it. Kernel completion is
+// checked only in cycles where some warp finished its program: no other
+// event can complete a kernel.
 func (g *GPU) step() {
+	exited := false
 	if g.smSet == nil {
 		for _, s := range g.sms {
-			s.Tick(g.now)
+			if s.Tick(g.now) {
+				exited = true
+			}
 		}
 	} else if !g.smSet.Empty() {
 		for i, s := range g.sms {
 			if !g.smSet.Active(i) {
 				continue
 			}
-			s.Tick(g.now)
+			if s.Tick(g.now) {
+				exited = true
+			}
 			if g.smTicks != nil {
 				g.smTicks.Inc()
 			}
@@ -266,7 +273,9 @@ func (g *GPU) step() {
 	}
 	g.net.Tick(g.now)
 	g.part.Tick(g.now)
-	g.updateKernels()
+	if exited {
+		g.updateKernels()
+	}
 	if g.schedCycles != nil {
 		g.schedCycles.Inc()
 	}
@@ -293,18 +302,12 @@ func (g *GPU) updateKernels() {
 				g.trace.Span(g.kernelTrack, k.Spec.Name, k.LaunchedAt, g.now)
 			}
 			for _, bp := range k.Blocks {
-				// Release occupancy and recycle warp slots.
+				// Release occupancy and recycle warp slots. Reclaiming is
+				// idempotent, so an SM hosting several blocks may repeat it.
 				if err := g.sched.Release(bp.SM); err != nil {
 					panic(fmt.Sprintf("engine: release kernel %d block on SM %d: %v", k.ID, bp.SM, err))
 				}
-			}
-			//lint:allow hotalloc runs once per kernel completion, not per cycle
-			seen := map[int]bool{}
-			for _, bp := range k.Blocks {
-				if !seen[bp.SM] {
-					seen[bp.SM] = true
-					g.sms[bp.SM].ReclaimFinished()
-				}
+				g.sms[bp.SM].ReclaimFinished()
 			}
 		}
 	}
@@ -405,14 +408,7 @@ func (g *GPU) RunUntil(cond func() bool, budget uint64) bool {
 // budget to guard against livelock. It returns an error on budget
 // exhaustion.
 func (g *GPU) RunKernels(budget uint64) error {
-	ok := g.RunUntil(func() bool {
-		for _, k := range g.kernels {
-			if !k.done {
-				return false
-			}
-		}
-		return true
-	}, budget)
+	ok := g.RunUntil(func() bool { return g.running == 0 }, budget)
 	if !ok {
 		return fmt.Errorf("engine: kernels still running after %d-cycle budget", budget)
 	}

@@ -37,18 +37,12 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Rule, d.Msg)
 }
 
-// Analyzer is one invariant checker. Exactly one of the two hooks is set:
-// Run inspects a single loaded package and reports findings through the Pass;
-// RunProgram sees every loaded package at once, plus the shared call graph,
-// for analyses (reachability, interprocedural dataflow) that do not decompose
-// per package. Whole-program analyzers only see the packages the driver
-// loaded — running them on a sub-pattern that excludes their declared entry
-// points turns them into no-ops, which is why CI always lints "./...".
+// Analyzer is one invariant checker: Run inspects a single loaded package
+// and reports findings through the Pass.
 type Analyzer struct {
-	Name       string
-	Doc        string
-	Run        func(*Pass)
-	RunProgram func(*ProgramPass)
+	Name string
+	Doc  string
+	Run  func(*Pass)
 }
 
 // Pass is the per-(package, analyzer) reporting context handed to Analyzer.Run.
@@ -69,43 +63,6 @@ func (p *Pass) Report(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ProgramPass is the whole-program reporting context handed to
-// Analyzer.RunProgram: every loaded package, the rule tables, and the shared
-// type-based call graph (built once per Run, lazily, from the packages that
-// type-checked).
-type ProgramPass struct {
-	Pkgs  []*Package
-	Rules *Rules
-	Graph *CallGraph
-	Fset  *token.FileSet
-
-	rule     string
-	diags    []Diagnostic
-	disabled map[string]bool
-}
-
-// Disable records that the current analyzer ran over an incomplete package
-// set (some declared entry points are absent — a sub-pattern lint). Real
-// findings are still reported, but the driver exempts the analyzer's
-// //lint:allow directives from the unused-waiver finding: with reachability
-// computed from a partial call graph, an idle waiver is not evidence of rot.
-// A full "./..." run resolves every root and re-arms the check.
-func (p *ProgramPass) Disable() {
-	if p.disabled == nil {
-		p.disabled = make(map[string]bool)
-	}
-	p.disabled[p.rule] = true
-}
-
-// Report records a finding at pos.
-func (p *ProgramPass) Report(pos token.Pos, format string, args ...any) {
-	p.diags = append(p.diags, Diagnostic{
-		Pos:  p.Fset.Position(pos),
-		Rule: p.rule,
-		Msg:  fmt.Sprintf(format, args...),
-	})
-}
-
 // Analyzers returns the full suite in a fixed order. The analyzer names are
 // the rule names accepted by //lint:allow directives.
 func Analyzers() []*Analyzer {
@@ -115,7 +72,6 @@ func Analyzers() []*Analyzer {
 		tickModelAnalyzer(),
 		purityAnalyzer(),
 		godocAnalyzer(),
-		hotAllocAnalyzer(),
 	}
 }
 
@@ -161,21 +117,14 @@ func collectAllows(pkg *Package) []*allowDirective {
 	return out
 }
 
-// Run applies every analyzer to every package (whole-program analyzers run
-// once over the full package set), filters findings through the //lint:allow
-// directives, appends directive-hygiene findings (malformed, unknown rule,
-// unused), and returns the surviving diagnostics sorted by file, line, rule,
-// and message. Directives are collected across all packages before any
-// filtering, so a waiver suppresses a whole-program finding exactly as it
-// suppresses a per-package one: by file and line.
+// Run applies every analyzer to every package, filters findings through the
+// //lint:allow directives, appends directive-hygiene findings (malformed,
+// unknown rule, unused), and returns the surviving diagnostics sorted by
+// file, line, rule, and message.
 func Run(pkgs []*Package, rules *Rules, analyzers []*Analyzer) []Diagnostic {
 	known := make(map[string]bool, len(analyzers))
-	needGraph := false
 	for _, a := range analyzers {
 		known[a.Name] = true
-		if a.RunProgram != nil {
-			needGraph = true
-		}
 	}
 
 	var allows []*allowDirective
@@ -183,34 +132,13 @@ func Run(pkgs []*Package, rules *Rules, analyzers []*Analyzer) []Diagnostic {
 		allows = append(allows, collectAllows(pkg)...)
 	}
 
-	inactive := map[string]bool{}
 	var raw []Diagnostic
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
-			if a.Run == nil {
-				continue
-			}
 			pass := &Pass{Pkg: pkg, Rules: rules, rule: a.Name}
 			a.Run(pass)
 			raw = append(raw, pass.diags...)
 		}
-	}
-	if needGraph && len(pkgs) > 0 {
-		pp := &ProgramPass{
-			Pkgs:  pkgs,
-			Rules: rules,
-			Graph: BuildCallGraph(pkgs),
-			Fset:  pkgs[0].Fset,
-		}
-		for _, a := range analyzers {
-			if a.RunProgram == nil {
-				continue
-			}
-			pp.rule = a.Name
-			a.RunProgram(pp)
-		}
-		raw = append(raw, pp.diags...)
-		inactive = pp.disabled
 	}
 
 	var out []Diagnostic
@@ -230,7 +158,7 @@ func Run(pkgs []*Package, rules *Rules, analyzers []*Analyzer) []Diagnostic {
 		case !known[dir.rule]:
 			out = append(out, Diagnostic{Pos: pos, Rule: "lint",
 				Msg: fmt.Sprintf("//lint:allow names unknown rule %q (known: %s)", dir.rule, ruleNames(analyzers))})
-		case !dir.used && !inactive[dir.rule]:
+		case !dir.used:
 			out = append(out, Diagnostic{Pos: pos, Rule: "lint",
 				Msg: fmt.Sprintf("unused //lint:allow %s directive (nothing on this or the next line triggers the rule)", dir.rule)})
 		}

@@ -52,7 +52,6 @@ func render(t *testing.T, root string, diags []Diagnostic) string {
 func TestFixtures(t *testing.T) {
 	for _, name := range []string{
 		"layering", "determinism", "tickmodel", "purity", "godoc", "allowdirectives",
-		"hotalloc",
 	} {
 		t.Run(name, func(t *testing.T) {
 			root, diags := loadFixture(t, name)
@@ -105,12 +104,10 @@ func TestRepoIsLintClean(t *testing.T) {
 	}
 }
 
-// TestSubPatternDoesNotFlagIdleWaivers pins the Disable contract: linting a
-// package subset leaves the whole-program analyzers with missing roots and a
-// partial call graph, so their //lint:allow directives may legitimately sit
-// idle — the unused-waiver hygiene finding must stand down rather than force
-// CI-red on every focused lint run (mem.go and warp.go both carry hotalloc
-// waivers whose sites are only reachable through the full engine graph).
+// TestSubPatternDoesNotFlagIdleWaivers pins that a focused lint run over a
+// package subset is as clean as the whole module: every analyzer works
+// package by package, so no //lint:allow directive depends on packages
+// outside the pattern.
 func TestSubPatternDoesNotFlagIdleWaivers(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {

@@ -21,7 +21,6 @@ type Rules struct {
 	TickModel   TickModelRules   `json:"tick_model"`
 	Purity      PurityRules      `json:"purity"`
 	Godoc       GodocRules       `json:"godoc"`
-	HotAlloc    HotAllocRules    `json:"hot_alloc"`
 }
 
 // LayeringRules declares the import DAG. Keys and values are module-relative
@@ -102,16 +101,6 @@ type TypeRef struct {
 // scope must carry a doc comment.
 type GodocRules struct {
 	Scope Scope `json:"scope"`
-}
-
-// HotAllocRules configures the steady-state allocation check: allocation
-// sites (make, growing append, composite literals, closures, string↔[]byte
-// conversions, interface boxing) in functions reachable from the Roots are
-// findings unless waived. Scope limits reporting to the simulator core;
-// reachability itself is computed over the whole module.
-type HotAllocRules struct {
-	Roots []FuncRef `json:"roots"`
-	Scope Scope     `json:"scope"`
 }
 
 // PurityRules configures the package-level mutable-state ban.
@@ -325,19 +314,6 @@ func DefaultRules() *Rules {
 			// also covers the lint tooling itself; only the cmd/examples
 			// roots (package main, no API surface) are out of scope.
 			Scope: Scope{Include: []string{"", "internal/"}},
-		},
-		HotAlloc: HotAllocRules{
-			// The steady-state tick roots: the engine's per-cycle step and
-			// the component Tick methods it drives. Setup paths (New,
-			// Launch) are deliberately absent — allocation there is fine.
-			Roots: []FuncRef{
-				{Package: "internal/engine", Recv: "GPU", Name: "step"},
-				{Package: "internal/link", Recv: "Link", Name: "Tick"},
-				{Package: "internal/mem", Recv: "Slice", Name: "Tick"},
-				{Package: "internal/dram", Recv: "Controller", Name: "Tick"},
-				{Package: "internal/sm", Recv: "SM", Name: "Tick"},
-			},
-			Scope: Scope{Include: engineAndBelow()},
 		},
 	}
 }

@@ -16,7 +16,7 @@ func TestSARIF(t *testing.T) {
 		{Pos: token.Position{Filename: filepath.Join(root, "internal", "noc", "noc.go"), Line: 12},
 			Rule: "tickmodel", Msg: "go statement in tick-model code"},
 		{Pos: token.Position{Filename: "internal/link/link.go", Line: 3},
-			Rule: "hotalloc", Msg: "make on the tick path"},
+			Rule: "purity", Msg: "package-level var"},
 	}
 	out, err := SARIF(diags, Analyzers(), root)
 	if err != nil {
@@ -66,7 +66,7 @@ func TestSARIF(t *testing.T) {
 	for _, r := range run.Tool.Driver.Rules {
 		ruleIDs[r.ID] = true
 	}
-	for _, want := range []string{"tickmodel", "hotalloc", "layering", "lint"} {
+	for _, want := range []string{"tickmodel", "purity", "layering", "lint"} {
 		if !ruleIDs[want] {
 			t.Errorf("rule table is missing %q", want)
 		}

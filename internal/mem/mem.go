@@ -8,7 +8,6 @@
 package mem
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 
@@ -24,57 +23,61 @@ import (
 // Deliver receives completed reply packets from a slice.
 type Deliver func(now uint64, p *packet.Packet)
 
-type scheduledReply struct {
-	at uint64
-	p  *packet.Packet
-	// seq breaks ties to keep ordering deterministic.
-	seq uint64
+// event is a slice action due at cycle at: a reply p to emit, or a fill of
+// line la to complete. seq numbers events in scheduling order, so (at, seq)
+// keys are unique and every pop order is deterministic.
+type event struct {
+	at, seq uint64
+	p       *packet.Packet
+	la      uint64
 }
 
-type replyHeap []scheduledReply
+// eventHeap is a binary min-heap of events keyed by (at, seq). Elements are
+// stored by value, so push and pop allocate nothing once the backing array
+// has grown to the slice's peak backlog.
+type eventHeap []event
 
-func (h replyHeap) Len() int { return len(h) }
-func (h replyHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h eventHeap) less(i, j int) bool {
+	return h[i].at < h[j].at || (h[i].at == h[j].at && h[i].seq < h[j].seq)
+}
+
+func (h *eventHeap) push(e event) {
+	*h = append(*h, e)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q.less(i, parent) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
 	}
-	return h[i].seq < h[j].seq
-}
-func (h replyHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *replyHeap) Push(x interface{}) { *h = append(*h, x.(scheduledReply)) }
-func (h *replyHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	item := old[n-1]
-	*h = old[:n-1]
-	//lint:allow hotalloc container/heap contract boxes the popped element
-	return item
 }
 
-type scheduledFill struct {
-	at  uint64
-	la  uint64
-	seq uint64
-}
-
-type fillHeap []scheduledFill
-
-func (h fillHeap) Len() int { return len(h) }
-func (h fillHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// pop removes and returns the earliest event; the heap must be non-empty.
+func (h *eventHeap) pop() event {
+	q := *h
+	n := len(q) - 1
+	top := q[0]
+	q[0] = q[n]
+	q[n] = event{} // do not pin the popped packet
+	q = q[:n]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && q.less(r, m) {
+			m = r
+		}
+		if !q.less(m, i) {
+			break
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
 	}
-	return h[i].seq < h[j].seq
-}
-func (h fillHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *fillHeap) Push(x interface{}) { *h = append(*h, x.(scheduledFill)) }
-func (h *fillHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	item := old[n-1]
-	*h = old[:n-1]
-	//lint:allow hotalloc container/heap contract boxes the popped element
-	return item
+	*h = q
+	return top
 }
 
 // Slice is one L2 cache slice plus its share of a memory controller.
@@ -89,10 +92,11 @@ type Slice struct {
 	numSlices  uint64
 
 	inq     ring.Buffer[*packet.Packet]
-	replies replyHeap
-	fills   fillHeap
+	replies eventHeap // replies due to leave the slice
+	fills   eventHeap // DRAM fills due to land in the cache
 	seq     uint64
 	waiting map[uint64][]*packet.Packet // line addr -> packets on an MSHR
+	spare   [][]*packet.Packet          // emptied waiting lists, reused by later misses
 	wake    func()                      // activity wake edge (see SetWaker); nil outside a scheduler
 
 	rng       *rand.Rand
@@ -202,47 +206,32 @@ func (s *Slice) jitter() uint64 {
 	return uint64(s.rng.Intn(s.jitterMax + 1))
 }
 
+// scheduleReply turns the serviced request req into its reply in place and
+// schedules it to leave the slice at cycle at. Nothing else holds a request
+// once its slice has serviced it, and every field but Kind already is the
+// reply's.
 func (s *Slice) scheduleReply(at uint64, req *packet.Packet) {
 	rk, err := packet.ReplyKind(req.Kind)
 	if err != nil {
 		panic(err)
 	}
-	//lint:allow hotalloc one reply packet per serviced request; packet pooling is future work
-	rep := &packet.Packet{
-		ID:         req.ID,
-		Kind:       rk,
-		Tag:        req.Tag,
-		Addr:       req.Addr,
-		Slice:      s.id,
-		SrcSM:      req.SrcSM,
-		SrcDev:     req.SrcDev,
-		DstDev:     req.DstDev,
-		IssueCycle: req.IssueCycle,
-		SliceCycle: at,
-		BypassL1:   req.BypassL1,
-	}
+	req.Kind = rk
 	s.seq++
-	//lint:allow hotalloc container/heap contract boxes the pushed element
-	heap.Push(&s.replies, scheduledReply{at: at, p: rep, seq: s.seq})
+	s.replies.push(event{at: at, seq: s.seq, p: req})
 }
 
 // Tick advances the slice one cycle: due replies are emitted, then at most
 // one new request starts service.
 func (s *Slice) Tick(now uint64) {
 	for len(s.replies) > 0 && s.replies[0].at <= now {
-		item := heap.Pop(&s.replies).(scheduledReply)
-		s.out(now, item.p)
+		s.out(now, s.replies.pop().p)
 	}
 	for len(s.fills) > 0 && s.fills[0].at <= now {
-		item := heap.Pop(&s.fills).(scheduledFill)
-		s.completeFill(item.at, item.la)
+		e := s.fills.pop()
+		s.completeFill(e.at, e.la)
 	}
 	if s.retries.Len() > 0 {
-		la := *s.retries.Front()
-		//lint:allow hotalloc one DRAM request per retried miss, not per cycle
-		if s.mc.Enqueue(now, &dram.Request{Addr: la, Write: false, Done: func(at uint64) {
-			s.scheduleFill(at, la)
-		}}) {
+		if s.mc.Enqueue(now, dram.Request{Addr: *s.retries.Front(), Slice: s.id}) {
 			s.retries.Pop()
 		}
 	}
@@ -272,20 +261,12 @@ func (s *Slice) Tick(now uint64) {
 	case cache.Miss:
 		s.misses++
 		la := s.cache.LineAddr(s.localAddr(p.Addr))
-		s.waiting[la] = append(s.waiting[la], p)
+		s.wait(la, p)
 		if s.pr != nil {
 			s.pr.missStart[la] = now
 		}
-		//lint:allow hotalloc one DRAM request per L2 miss, not per cycle
-		ok := s.mc.Enqueue(now, &dram.Request{
-			Addr:  la,
-			Write: false, // fetch-on-miss; writes allocate then dirty the line
-			//lint:allow hotalloc completion callback created once per L2 miss
-			Done: func(at uint64) {
-				s.scheduleFill(at, la)
-			},
-		})
-		if !ok {
+		// Fetch-on-miss, for writes too: they allocate, then dirty the line.
+		if !s.mc.Enqueue(now, dram.Request{Addr: la, Slice: s.id}) {
 			// MC queue full: retry on subsequent ticks. The MSHR stays
 			// allocated; completeFill drains all waiters when the retried
 			// fetch eventually lands.
@@ -293,8 +274,7 @@ func (s *Slice) Tick(now uint64) {
 		}
 	case cache.MissMerged:
 		s.misses++
-		la := s.cache.LineAddr(s.localAddr(p.Addr))
-		s.waiting[la] = append(s.waiting[la], p)
+		s.wait(s.cache.LineAddr(s.localAddr(p.Addr)), p)
 	case cache.Stall:
 		// MSHR file full: leave the packet queued and stall this cycle.
 		return
@@ -306,13 +286,23 @@ func (s *Slice) Tick(now uint64) {
 	}
 }
 
+// wait parks p on line la's MSHR, starting the line's list from a recycled
+// backing array when one is spare.
+func (s *Slice) wait(la uint64, p *packet.Packet) {
+	ws, ok := s.waiting[la]
+	if !ok && len(s.spare) > 0 {
+		ws = s.spare[len(s.spare)-1]
+		s.spare = s.spare[:len(s.spare)-1]
+	}
+	s.waiting[la] = append(ws, p)
+}
+
 // scheduleFill defers the cache fill to the cycle the DRAM data transfer
 // completes; installing it at callback time would let younger requests hit
 // before the data actually arrived.
 func (s *Slice) scheduleFill(at, la uint64) {
 	s.seq++
-	//lint:allow hotalloc container/heap contract boxes the pushed element
-	heap.Push(&s.fills, scheduledFill{at: at, la: la, seq: s.seq})
+	s.fills.push(event{at: at, seq: s.seq, la: la})
 }
 
 func (s *Slice) completeFill(at uint64, la uint64) {
@@ -322,8 +312,9 @@ func (s *Slice) completeFill(at uint64, la uint64) {
 			delete(s.pr.missStart, la)
 		}
 	}
+	ws := s.waiting[la]
 	write := false
-	for _, w := range s.waiting[la] {
+	for _, w := range ws {
 		if w.Kind == packet.WriteReq {
 			write = true
 		}
@@ -332,10 +323,9 @@ func (s *Slice) completeFill(at uint64, la uint64) {
 		// Writeback of the victim: fire-and-forget to DRAM. If the MC
 		// queue is full the writeback is dropped; the model tracks timing,
 		// not data, so this only slightly under-counts DRAM load.
-		//lint:allow hotalloc one writeback request per evicted dirty line
-		s.mc.Enqueue(at, &dram.Request{Addr: la ^ 0x1, Write: true, Done: func(uint64) {}})
+		s.mc.Enqueue(at, dram.Request{Addr: la ^ 0x1, Write: true, Slice: s.id})
 	}
-	for _, w := range s.waiting[la] {
+	for _, w := range ws {
 		lat := s.hitLatency
 		if w.Kind == packet.AtomicReq {
 			lat = s.atomicLat
@@ -343,6 +333,9 @@ func (s *Slice) completeFill(at uint64, la uint64) {
 		s.scheduleReply(at+lat+s.jitter(), w)
 	}
 	delete(s.waiting, la)
+	if ws != nil {
+		s.spare = append(s.spare, ws[:0])
+	}
 }
 
 // Preload installs the line containing addr (a global address) without
@@ -396,7 +389,7 @@ func NewPartition(cfg *config.Config, out Deliver) (*Partition, error) {
 	p := &Partition{cfg: cfg}
 	p.mcs = make([]*dram.Controller, cfg.NumMCs)
 	for i := range p.mcs {
-		mc, err := dram.NewController(cfg.DRAM, cfg.DRAMBanksPME, 2048, cfg.MCQueueDepth)
+		mc, err := dram.NewController(cfg.DRAM, cfg.DRAMBanksPME, 2048, cfg.MCQueueDepth, p.dramDone)
 		if err != nil {
 			return nil, err
 		}
@@ -432,6 +425,14 @@ func NewPartition(cfg *config.Config, out Deliver) (*Partition, error) {
 		p.mcTicks = cfg.Probes.Counter("sched/mc_ticks")
 	}
 	return p, nil
+}
+
+// dramDone is every controller's completion callback: a line fetch lands in
+// the cache of the slice that issued it; writebacks need no completion.
+func (p *Partition) dramDone(at uint64, r dram.Request) {
+	if !r.Write {
+		p.slices[r.Slice].scheduleFill(at, r.Addr)
+	}
 }
 
 // SliceFor returns the slice index servicing addr: line-interleaved across

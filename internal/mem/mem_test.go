@@ -215,6 +215,42 @@ func TestAcceptPanicsOnReplyPacket(t *testing.T) {
 	p.Slice(0).Accept(0, &packet.Packet{Kind: packet.ReadReply})
 }
 
+// TestAcceptPanicsOnReleasedPacket: a packet already released onto an SM's
+// free list is poisoned, so a slice refuses it.
+func TestAcceptPanicsOnReleasedPacket(t *testing.T) {
+	cfg := smallCfg()
+	p, _ := mkPartition(t, cfg)
+	pk := req(1, packet.ReadReq, 0, p.SliceFor(0))
+	pk.Release()
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic on a released packet at slice ingress")
+		}
+	}()
+	p.Slice(pk.Slice).Accept(0, pk)
+}
+
+// TestReplyIsRequestInPlace pins the slice's half of the packet lifecycle:
+// the reply that leaves the slice is the accepted request itself, with only
+// its Kind changed.
+func TestReplyIsRequestInPlace(t *testing.T) {
+	cfg := smallCfg()
+	p, s := mkPartition(t, cfg)
+	p.Preload(0, 4096)
+	pk := req(7, packet.WriteReq, 64, p.SliceFor(64))
+	pk.IssueCycle, pk.SrcSM, pk.BypassL1 = 3, 2, true
+	want := *pk
+	want.Kind = packet.WriteReply
+	p.Accept(10, pk)
+	runUntilIdle(p, 10)
+	if len(s.pkts) != 1 || s.pkts[0] != pk {
+		t.Fatalf("replies %v, want the request packet itself", s.pkts)
+	}
+	if *pk != want {
+		t.Errorf("reply = %+v, want %+v", *pk, want)
+	}
+}
+
 // Property: every accepted request eventually produces exactly one reply of
 // the matching kind, under random mixes of reads/writes/atomics, hot and
 // cold lines.

@@ -4,6 +4,21 @@
 // requests and write acks do not) is what makes write traffic contend on the
 // request path and read traffic contend on the reply path — the effect the
 // paper exploits for the TPC and GPC covert channels (§3.4).
+//
+// Packets are recycled, and each has exactly one owner at a time:
+//
+//   - The issuing SM allocates it, or takes one from its free list, and
+//     fills in a request.
+//   - The links carry it to its L2 slice; Slice.Accept takes ownership.
+//   - Once the slice has serviced it, nothing else holds the request, so
+//     the slice turns it into its reply in place: only Kind changes.
+//   - The reply always ends at the SM named by Tag.SM, across an NVLink
+//     mesh too. SM.OnReply releases it onto that SM's free list for its
+//     next request.
+//
+// Release poisons a packet: its Kind becomes Released and its Tag.SM -1,
+// so a released packet handed back to SM.OnReply or Slice.Accept panics
+// instead of silently aliasing a live request.
 package packet
 
 import "fmt"
@@ -25,6 +40,10 @@ const (
 	AtomicReq
 	// AtomicReply returns the pre-image of an atomic (1 data flit).
 	AtomicReply
+
+	// Released marks a packet on an SM's free list. It is neither a
+	// request nor a reply, so no slice or SM accepts it.
+	Released Kind = 0xff
 )
 
 // String returns a short mnemonic for logging and tests.
@@ -42,8 +61,9 @@ func (k Kind) String() string {
 		return "ATOM"
 	case AtomicReply:
 		return "ATOMACK"
+	case Released:
+		return "FREED"
 	default:
-		//lint:allow hotalloc debug-only default arm for an unknown kind
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}
 }
@@ -85,7 +105,8 @@ type WarpTag struct {
 
 // Packet is one NoC packet. Packets are allocated by the SM load/store unit
 // and threaded through links by pointer; the struct is never copied after
-// issue, so latency stamps stay consistent.
+// issue, so latency stamps stay consistent. See the package comment for who
+// owns a packet when.
 type Packet struct {
 	ID   uint64
 	Kind Kind
@@ -104,13 +125,18 @@ type Packet struct {
 	SrcDev int
 	DstDev int
 
-	// Timestamps (cycles) for latency accounting and age-based arbitration.
-	IssueCycle   uint64 // when the LSU injected the packet
-	SliceCycle   uint64 // when the L2 slice finished servicing it
-	DeliverCycle uint64 // when the final hop delivered it
+	// IssueCycle is when the LSU injected the packet (age-based
+	// arbitration orders by it).
+	IssueCycle uint64
 
 	// BypassL1 marks probe traffic compiled with -dlcm=cg (§4.2).
 	BypassL1 bool
+}
+
+// Release poisons p as it goes onto a free list (see the package comment).
+func (p *Packet) Release() {
+	p.Kind = Released
+	p.Tag.SM = -1
 }
 
 // Flits returns the serialization length of the packet on a link.
@@ -126,7 +152,6 @@ func ReplyKind(k Kind) (Kind, error) {
 	case AtomicReq:
 		return AtomicReply, nil
 	default:
-		//lint:allow hotalloc error path, never taken by a valid request
 		return 0, fmt.Errorf("packet: %v is not a request kind", k)
 	}
 }

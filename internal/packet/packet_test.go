@@ -10,7 +10,7 @@ func TestKindString(t *testing.T) {
 	cases := map[Kind]string{
 		ReadReq: "RD", WriteReq: "WR", ReadReply: "RDACK",
 		WriteReply: "WRACK", AtomicReq: "ATOM", AtomicReply: "ATOMACK",
-		Kind(42): "Kind(42)",
+		Released: "FREED", Kind(42): "Kind(42)",
 	}
 	for k, want := range cases {
 		if got := k.String(); got != want {
@@ -94,5 +94,21 @@ func TestQuickReplyKindClosure(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestReleasePoisons pins the poison a released packet carries: a kind that
+// is neither a request nor has a reply, and an SM tag no SM owns.
+func TestReleasePoisons(t *testing.T) {
+	p := &Packet{Kind: ReadReply, Tag: WarpTag{SM: 3, Warp: 1, Op: 4}}
+	p.Release()
+	if p.Kind != Released || p.Tag.SM != -1 {
+		t.Fatalf("released packet = %v", p)
+	}
+	if p.Kind.IsRequest() {
+		t.Error("a released packet must not be a request")
+	}
+	if _, err := ReplyKind(p.Kind); err == nil {
+		t.Error("a released packet must have no reply kind")
 	}
 }

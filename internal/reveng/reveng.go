@@ -100,11 +100,8 @@ func runActive(rc runConfig) (map[int]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Bind each program's address window to its placement (block -> SM).
-	for range k.Blocks {
-	}
-	// Windows follow the SM id; programs learn their SM at first step, so
-	// patch bases through a second pass using the placement map.
+	// Windows follow the SM id, and placement is known only after launch,
+	// so bind each program's address window through the placement map.
 	smOfBlock := make(map[int]int, len(k.Blocks))
 	for _, bp := range k.Blocks {
 		smOfBlock[bp.Block] = bp.SM

@@ -42,6 +42,9 @@ type SM struct {
 
 	warps        []*resident
 	pending      ring.Buffer[*packet.Packet]
+	lines        []uint64         // coalescer scratch, reused by every memory op
+	free         []*packet.Packet // released replies, reused for the next requests
+	ctx          device.Ctx       // step's context; a local would escape through Program.Step
 	outstanding  int
 	nextPktID    uint64
 	rrNext       int
@@ -206,8 +209,10 @@ func (s *SM) ReclaimFinished() {
 }
 
 // Tick advances the SM one cycle: wake sleeping warps, inject one pending
-// packet, then let one ready warp issue its next operation.
-func (s *SM) Tick(now uint64) {
+// packet, then let one ready warp issue its next operation. It reports
+// whether a warp finished its program this cycle, the only event that can
+// complete a kernel.
+func (s *SM) Tick(now uint64) (exited bool) {
 	for _, r := range s.warps {
 		if r != nil && r.w.State == warp.WaitingCycle && r.w.WakeAt <= now {
 			r.w.State = warp.Ready
@@ -248,12 +253,13 @@ func (s *SM) Tick(now uint64) {
 		}
 		s.rrNext = (idx + 1) % n
 		s.step(now, r)
-		break
+		return r.w.State == warp.Finished
 	}
+	return false
 }
 
 func (s *SM) step(now uint64, r *resident) {
-	ctx := device.Ctx{
+	s.ctx = device.Ctx{
 		SMID:        s.id,
 		Block:       r.block,
 		Warp:        r.warpID,
@@ -261,13 +267,14 @@ func (s *SM) step(now uint64, r *resident) {
 		Clock64:     s.clocks.Read64(s.id, now),
 		LastLatency: r.w.LastLatency,
 	}
-	op := r.prog.Step(&ctx)
+	op := r.prog.Step(&s.ctx)
 	switch op.Kind {
 	case device.OpMem:
-		lines, err := warp.Coalesce(op.Mem, s.cfg.SIMTWidth, s.cfg.L2LineBytes)
+		lines, err := warp.Coalesce(s.lines[:0], op.Mem, s.cfg.SIMTWidth, s.cfg.L2LineBytes)
 		if err != nil {
 			panic(fmt.Sprintf("sm %d: bad mem op: %v", s.id, err))
 		}
+		s.lines = lines
 		if len(lines) == 0 {
 			// No active lanes: a one-cycle no-op.
 			r.w.State = warp.WaitingCycle
@@ -294,15 +301,16 @@ func (s *SM) step(now uint64, r *resident) {
 				continue
 			}
 			s.nextPktID++
-			//lint:allow hotalloc one request packet per memory instruction; packet pooling is future work
-			s.pending.Push(&packet.Packet{
+			p := s.newPacket()
+			*p = packet.Packet{
 				ID:       s.nextPktID,
 				Kind:     kind,
 				Tag:      packet.WarpTag{SM: s.id, Warp: r.w.ID, Op: r.w.OpSeq},
 				Addr:     la,
 				SrcSM:    s.id,
 				BypassL1: op.Mem.BypassL1,
-			})
+			}
+			s.pending.Push(p)
 			if s.pr != nil {
 				s.pr.pendDepth.Add(1)
 			}
@@ -332,9 +340,24 @@ func (s *SM) step(now uint64, r *resident) {
 	}
 }
 
-// OnReply receives a reply packet from the NoC.
+// newPacket takes a packet from the free list, or allocates one while the
+// list is still shorter than the SM's peak number of packets in flight.
+func (s *SM) newPacket() *packet.Packet {
+	n := len(s.free)
+	if n == 0 {
+		return new(packet.Packet)
+	}
+	p := s.free[n-1]
+	s.free = s.free[:n-1]
+	return p
+}
+
+// OnReply receives a reply packet from the NoC and releases it onto the
+// SM's free list: a reply always ends here, at the SM that issued its
+// request (see package packet).
 func (s *SM) OnReply(now uint64, p *packet.Packet) {
 	if p.Tag.SM != s.id {
+		// Also catches a released packet, whose Tag.SM is -1.
 		panic(fmt.Sprintf("sm %d: reply for SM %d", s.id, p.Tag.SM))
 	}
 	s.outstanding--
@@ -347,6 +370,8 @@ func (s *SM) OnReply(now uint64, p *packet.Packet) {
 		s.l1.Fill(p.Addr, false)
 	}
 	s.completeRequest(now, p.Tag.Warp, p.Tag.Op)
+	p.Release()
+	s.free = append(s.free, p)
 }
 
 // completeRequest retires one request (L1 hit or NoC reply) of a warp's

@@ -270,6 +270,58 @@ func TestOnReplyPanicsOnWrongSM(t *testing.T) {
 	s.OnReply(0, &packet.Packet{Tag: packet.WarpTag{SM: 5}})
 }
 
+// TestRepliesRecycleAndReleasedPacketsPanic pins the packet lifecycle at
+// the SM: OnReply poisons each reply and keeps it for the SM's next
+// requests, and a released packet handed back to OnReply panics.
+func TestRepliesRecycleAndReleasedPacketsPanic(t *testing.T) {
+	cfg := testCfg()
+	s, c := mkSM(t, &cfg)
+	prog := &device.Streamer{LineBytes: cfg.L2LineBytes, Count: 2, Uncoalesced: true}
+	if err := s.AddWarp(0, 0, 0, 0, prog); err != nil {
+		t.Fatal(err)
+	}
+	now := uint64(0)
+	for ; now < 160; now++ {
+		s.Tick(now)
+	}
+	if len(c.pkts) != 32 {
+		t.Fatalf("%d packets", len(c.pkts))
+	}
+	first := map[*packet.Packet]bool{}
+	for _, p := range c.pkts {
+		first[p] = true
+		p.Kind = packet.ReadReply // what the slice does in place
+		s.OnReply(300, p)
+		if p.Kind != packet.Released || p.Tag.SM != -1 {
+			t.Fatalf("released packet not poisoned: %v", p)
+		}
+	}
+	for ; now < 500; now++ {
+		s.Tick(now)
+	}
+	if len(c.pkts) != 64 {
+		t.Fatalf("%d packets after the second op", len(c.pkts))
+	}
+	for _, p := range c.pkts[32:] {
+		if !first[p] {
+			t.Fatal("second op allocated a packet instead of reusing a released one")
+		}
+		if p.Kind != packet.ReadReq || p.Tag.SM != 0 || p.Tag.Op != 2 {
+			t.Fatalf("recycled packet not reset: %v", p)
+		}
+	}
+	for _, p := range c.pkts[32:] {
+		p.Kind = packet.ReadReply
+		s.OnReply(600, p)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a released packet handed back to OnReply must panic")
+		}
+	}()
+	s.OnReply(700, c.pkts[0])
+}
+
 func TestIdle(t *testing.T) {
 	cfg := testCfg()
 	s, c := mkSM(t, &cfg)

@@ -85,11 +85,9 @@ func (s *Scheduler) Assign(n int) ([]int, error) {
 // warps all finish).
 func (s *Scheduler) Release(smID int) error {
 	if smID < 0 || smID >= len(s.load) {
-		//lint:allow hotalloc error path, never taken by a well-formed engine
 		return fmt.Errorf("tbsched: SM %d out of range", smID)
 	}
 	if s.load[smID] == 0 {
-		//lint:allow hotalloc error path, never taken by a well-formed engine
 		return fmt.Errorf("tbsched: SM %d has no resident blocks", smID)
 	}
 	s.load[smID]--

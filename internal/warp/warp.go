@@ -33,40 +33,42 @@ type MemOp struct {
 	BypassL1 bool
 }
 
-// Coalesce computes the unique line addresses touched by op, in lane order.
-// This is the number of NoC request packets the op generates.
-func Coalesce(op MemOp, simtWidth, lineBytes int) ([]uint64, error) {
+// Coalesce appends the unique line addresses touched by op to dst, in lane
+// order, and returns the extended slice. This is the number of NoC request
+// packets the op generates. A caller that passes the previous result
+// truncated to zero length reuses its backing array, so steady-state
+// coalescing allocates nothing. Duplicates are found by scanning the lines
+// this call already emitted (at most one per lane), newest first: lanes that
+// share a line are usually adjacent.
+func Coalesce(dst []uint64, op MemOp, simtWidth, lineBytes int) ([]uint64, error) {
 	if simtWidth <= 0 {
-		//lint:allow hotalloc error path, config is validated before ticking
-		return nil, fmt.Errorf("warp: non-positive SIMT width %d", simtWidth)
+		return dst, fmt.Errorf("warp: non-positive SIMT width %d", simtWidth)
 	}
 	if lineBytes <= 0 || lineBytes&(lineBytes-1) != 0 {
-		//lint:allow hotalloc error path, config is validated before ticking
-		return nil, fmt.Errorf("warp: line size %d not a positive power of two", lineBytes)
+		return dst, fmt.Errorf("warp: line size %d not a positive power of two", lineBytes)
 	}
 	lanes := op.Lanes
 	switch {
 	case lanes == LanesNone:
-		return nil, nil
+		return dst, nil
 	case lanes == 0:
 		lanes = simtWidth
 	case lanes < 0 || lanes > simtWidth:
-		//lint:allow hotalloc error path, ops are validated at construction
-		return nil, fmt.Errorf("warp: %d active lanes out of range for SIMT width %d", lanes, simtWidth)
+		return dst, fmt.Errorf("warp: %d active lanes out of range for SIMT width %d", lanes, simtWidth)
 	}
 	mask := ^uint64(lineBytes - 1)
-	//lint:allow hotalloc per-instruction coalescing scratch; buffer reuse needs an API change
-	seen := make(map[uint64]struct{}, lanes)
-	var lines []uint64
+	start := len(dst)
+lane:
 	for lane := 0; lane < lanes; lane++ {
 		la := (op.Base + uint64(lane)*op.StrideBytes) & mask
-		if _, ok := seen[la]; !ok {
-			seen[la] = struct{}{}
-			//lint:allow hotalloc per-instruction result slice; buffer reuse needs an API change
-			lines = append(lines, la)
+		for i := len(dst) - 1; i >= start; i-- {
+			if dst[i] == la {
+				continue lane
+			}
 		}
+		dst = append(dst, la)
 	}
-	return lines, nil
+	return dst, nil
 }
 
 // UncoalescedOp builds a MemOp whose 32 lanes each touch a distinct cache
@@ -85,7 +87,6 @@ func CoalescedOp(base uint64, write bool) MemOp {
 // which signals with 0, 8, 16, or 32 unique requests per warp.
 func PartialOp(base uint64, write bool, lineBytes, uniqueLines, simtWidth int) (MemOp, error) {
 	if uniqueLines < 0 || uniqueLines > simtWidth {
-		//lint:allow hotalloc error path, experiment specs are validated up front
 		return MemOp{}, fmt.Errorf("warp: uniqueLines %d out of [0, %d]", uniqueLines, simtWidth)
 	}
 	lanes := uniqueLines

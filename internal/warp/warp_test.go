@@ -7,24 +7,24 @@ import (
 
 func TestCoalesceValidation(t *testing.T) {
 	op := CoalescedOp(0, false)
-	if _, err := Coalesce(op, 0, 32); err == nil {
+	if _, err := Coalesce(nil, op, 0, 32); err == nil {
 		t.Error("zero SIMT width should fail")
 	}
-	if _, err := Coalesce(op, 32, 48); err == nil {
+	if _, err := Coalesce(nil, op, 32, 48); err == nil {
 		t.Error("non-power-of-two line should fail")
 	}
 	bad := op
 	bad.Lanes = 64
-	if _, err := Coalesce(bad, 32, 32); err == nil {
+	if _, err := Coalesce(nil, bad, 32, 32); err == nil {
 		t.Error("too many lanes should fail")
 	}
 	bad.Lanes = -2
-	if _, err := Coalesce(bad, 32, 32); err == nil {
+	if _, err := Coalesce(nil, bad, 32, 32); err == nil {
 		t.Error("negative lanes should fail")
 	}
 	none := op
 	none.Lanes = LanesNone
-	if lines, err := Coalesce(none, 32, 32); err != nil || len(lines) != 0 {
+	if lines, err := Coalesce(nil, none, 32, 32); err != nil || len(lines) != 0 {
 		t.Errorf("LanesNone = %v, %v; want empty", lines, err)
 	}
 }
@@ -32,7 +32,7 @@ func TestCoalesceValidation(t *testing.T) {
 // TestFullyCoalesced pins §5: stride 0 (or small strides within one line)
 // produce exactly one request per warp.
 func TestFullyCoalesced(t *testing.T) {
-	lines, err := Coalesce(CoalescedOp(0x1000, true), 32, 32)
+	lines, err := Coalesce(nil, CoalescedOp(0x1000, true), 32, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestFullyCoalesced(t *testing.T) {
 // TestFullyUncoalesced pins §5: a line-stride op produces 32 requests, one
 // per lane, on consecutive lines.
 func TestFullyUncoalesced(t *testing.T) {
-	lines, err := Coalesce(UncoalescedOp(0x2000, false, 32), 32, 32)
+	lines, err := Coalesce(nil, UncoalescedOp(0x2000, false, 32), 32, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestFullyUncoalesced(t *testing.T) {
 // per line, giving 4 requests.
 func TestWordStrideCoalescing(t *testing.T) {
 	op := MemOp{Base: 0, StrideBytes: 4}
-	lines, err := Coalesce(op, 32, 32)
+	lines, err := Coalesce(nil, op, 32, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestPartialOp(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lines, err := Coalesce(op, 32, 32)
+		lines, err := Coalesce(nil, op, 32, 32)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +96,7 @@ func TestPartialOp(t *testing.T) {
 
 func TestUnalignedBaseStillLineAligned(t *testing.T) {
 	op := MemOp{Base: 0x1007, StrideBytes: 32}
-	lines, err := Coalesce(op, 32, 32)
+	lines, err := Coalesce(nil, op, 32, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestQuickCoalesceInvariants(t *testing.T) {
 			lanes = 32
 		}
 		op := MemOp{Base: base % (1 << 40), StrideBytes: uint64(stride), Lanes: lanes}
-		lines, err := Coalesce(op, 32, 32)
+		lines, err := Coalesce(nil, op, 32, 32)
 		if err != nil {
 			return false
 		}
@@ -154,10 +154,61 @@ func TestQuickLineStrideBijective(t *testing.T) {
 	f := func(base uint64, lanesRaw uint8) bool {
 		lanes := int(lanesRaw)%32 + 1
 		op := MemOp{Base: base % (1 << 40), StrideBytes: 32, Lanes: lanes}
-		lines, err := Coalesce(op, 32, 32)
+		lines, err := Coalesce(nil, op, 32, 32)
 		return err == nil && len(lines) == lanes
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// Property: Coalesce emits exactly the distinct lines of the active lanes in
+// first-lane order, and appending into a reused buffer leaves its existing
+// prefix alone and dedups only among the new lines.
+func TestQuickCoalesceMatchesLaneOrder(t *testing.T) {
+	buf := []uint64{0x40}
+	f := func(base uint64, stride uint16, lanesRaw uint8) bool {
+		lanes := int(lanesRaw)%32 + 1
+		op := MemOp{Base: base % (1 << 40), StrideBytes: uint64(stride) % 97, Lanes: lanes}
+		var want []uint64
+		seen := make(map[uint64]bool)
+		for lane := 0; lane < lanes; lane++ {
+			la := (op.Base + uint64(lane)*op.StrideBytes) &^ 31
+			if !seen[la] {
+				seen[la] = true
+				want = append(want, la)
+			}
+		}
+		got, err := Coalesce(buf[:1], op, 32, 32)
+		if err != nil || len(got) != 1+len(want) || got[0] != 0x40 {
+			return false
+		}
+		for i, la := range want {
+			if got[1+i] != la {
+				return false
+			}
+		}
+		buf = got
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestCoalesceIntoReusedBufferAllocatesNothing pins the SM's scratch-buffer
+// contract: once the buffer has grown to a warp's worth of lines, coalescing
+// into it allocates nothing.
+func TestCoalesceIntoReusedBufferAllocatesNothing(t *testing.T) {
+	op := UncoalescedOp(0x2000, false, 32)
+	buf, err := Coalesce(nil, op, 32, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		buf, _ = Coalesce(buf[:0], op, 32, 32)
+	})
+	if allocs != 0 {
+		t.Errorf("Coalesce into a reused buffer made %v allocations, want 0", allocs)
 	}
 }
