@@ -39,10 +39,10 @@ import (
 	"strings"
 
 	"gpunoc/internal/config"
-	"gpunoc/internal/device"
 	"gpunoc/internal/engine"
 	"gpunoc/internal/mesh"
 	"gpunoc/internal/probe"
+	"gpunoc/internal/reveng"
 	"gpunoc/internal/telemetry"
 )
 
@@ -130,19 +130,22 @@ func main() {
 		cfg.NVLink.Topology = topo
 	}
 
-	smList := make([]int, 0, len(targets))
+	var acts []reveng.Activation
 	for sm := 0; sm < cfg.NumSMs(); sm++ {
 		if targets[sm] {
-			smList = append(smList, sm)
+			acts = append(acts, reveng.Activation{SM: sm, Ops: *ops, Warps: *warps, Write: !*read})
 		}
 	}
-	st := &stream{cfg: &cfg, sms: smList, warps: *warps, ops: *ops, read: *read}
+	kind := "write"
+	if *read {
+		kind = "read"
+	}
 
 	if *gpus >= 2 {
 		if *tracePath != "" || *watch > 0 {
 			fail(fmt.Errorf("-trace and -watch are not supported with -gpus"))
 		}
-		runMesh(cfg, *gpus, st, *smsFlag)
+		runMesh(cfg, *gpus, acts, *ops, *warps, kind, *smsFlag)
 		return
 	}
 
@@ -161,17 +164,11 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	g.Preload(0, st.windowBytes())
-	if _, err := g.Launch(st.kernel("gpusim")); err != nil {
-		fail(err)
-	}
-	if err := g.RunKernels(100_000_000); err != nil {
-		fail(err)
-	}
+	times := stream(&cfg, "gpusim", acts, reveng.WarpLayout(0, *warps), g, g, g)
 
 	fmt.Printf("gpusim: %s, arbitration=%s, %d %s ops x %d warps on SMs %v\n",
-		cfg.Name, cfg.NoC.Arbitration, *ops, st.kind(), *warps, *smsFlag)
-	st.report()
+		cfg.Name, cfg.NoC.Arbitration, *ops, kind, *warps, *smsFlag)
+	report(&cfg, times)
 	l2 := g.Partition().Stats()
 	fmt.Printf("  L2: %d served, %d hits, %d misses\n", l2.Served, l2.Hits, l2.Misses)
 
@@ -193,74 +190,32 @@ func main() {
 	}
 }
 
-// span is the address window of one streaming warp.
-const span = 8192
-
-// stream is gpusim's workload: one device.MaskedStreamer per warp on the
-// target SMs, streaming from base. progs collects every instance the kernel
-// builds, so report can read their clocks back after the run.
-type stream struct {
-	cfg   *config.Config
-	sms   []int
-	warps int
-	ops   int
-	read  bool
-	base  uint64
-	progs []*device.MaskedStreamer
+// stream runs reveng's Algorithm 1 kernel for acts under the given kernel
+// name (it names the kernel's span in -trace output): launched on dev,
+// streaming into mem's windows laid out by lay, and run on r. It returns
+// each activated SM's slowest-warp time.
+func stream(cfg *config.Config, name string, acts []reveng.Activation, lay reveng.Layout,
+	dev, mem *engine.GPU, r reveng.KernelRunner) map[int]uint64 {
+	b, err := reveng.NewBench(cfg, acts, lay)
+	if err != nil {
+		fail(err)
+	}
+	b.Spec.Name = name
+	times, err := b.Run(dev, mem, r)
+	if err != nil {
+		fail(err)
+	}
+	return times
 }
 
-// windowBytes is the size of the address range, from base, that the
-// streamers of every SM would cover.
-func (s *stream) windowBytes() uint64 { return uint64(s.cfg.NumSMs()*s.warps) * span }
-
-func (s *stream) kind() string {
-	if s.read {
-		return "read"
-	}
-	return "write"
-}
-
-// kernel returns the streaming kernel: one block per SM, so the mask
-// decides which SMs actually stream.
-func (s *stream) kernel(name string) device.KernelSpec {
-	return device.KernelSpec{
-		Name:          name,
-		Blocks:        s.cfg.NumSMs(),
-		WarpsPerBlock: s.warps,
-		New: func(b, w int) device.Program {
-			m := &device.MaskedStreamer{
-				SMs:         s.sms,
-				Base:        s.base,
-				Warp:        w,
-				WarpsPerSM:  s.warps,
-				SpanBytes:   span,
-				LineBytes:   s.cfg.L2LineBytes,
-				Write:       !s.read,
-				Count:       s.ops,
-				Uncoalesced: true,
-				WrapBytes:   span / 2,
-			}
-			s.progs = append(s.progs, m)
-			return m
-		},
-	}
-}
-
-// report prints one line per target SM: the longest run time of its warps.
-func (s *stream) report() {
-	perSM := map[int]uint64{}
-	for _, m := range s.progs {
-		if m.Active() && m.EndClock > m.StartClock {
-			if d := m.EndClock - m.StartClock; d > perSM[m.SMID] {
-				perSM[m.SMID] = d
-			}
-		}
-	}
-	for sm := 0; sm < s.cfg.NumSMs(); sm++ {
-		if d, ok := perSM[sm]; ok {
+// report prints one line per activated SM: the longest run time of its
+// warps.
+func report(cfg *config.Config, times map[int]uint64) {
+	for sm := 0; sm < cfg.NumSMs(); sm++ {
+		if d, ok := times[sm]; ok {
 			fmt.Printf("  SM%-3d TPC%-2d GPC%d: %8d cycles (%.2f us at %dMHz)\n",
-				sm, s.cfg.TPCOfSM(sm), s.cfg.GPCOfSM(sm), d,
-				s.cfg.CyclesToSeconds(d)*1e6, s.cfg.CoreClockMHz)
+				sm, cfg.TPCOfSM(sm), cfg.GPCOfSM(sm), d,
+				cfg.CyclesToSeconds(d)*1e6, cfg.CoreClockMHz)
 		}
 	}
 }
@@ -268,24 +223,17 @@ func (s *stream) report() {
 // runMesh is the -gpus mode: an N-device NVLink mesh where the target SMs of
 // device 0 stream into a window owned by device 1, so every memory op
 // crosses the fabric, followed by a per-link statistics report.
-func runMesh(cfg config.Config, gpus int, st *stream, smsFlag string) {
+func runMesh(cfg config.Config, gpus int, acts []reveng.Activation, ops, warps int, kind, smsFlag string) {
 	m, err := mesh.New(cfg, gpus)
 	if err != nil {
 		fail(err)
 	}
-	st.base = mesh.DevBase(1)
-	m.GPU(1).Preload(st.base, st.windowBytes())
-	if _, err := m.GPU(0).Launch(st.kernel("gpusim-mesh")); err != nil {
-		fail(err)
-	}
-	if err := m.RunKernels(100_000_000); err != nil {
-		fail(err)
-	}
+	times := stream(&cfg, "gpusim-mesh", acts, reveng.WarpLayout(mesh.DevBase(1), warps), m.GPU(0), m.GPU(1), m)
 
 	topo := cfg.NVLink.WithDefaults().Topology
 	fmt.Printf("gpusim: %s mesh of %d GPUs (%s), %d remote %s ops x %d warps on device-0 SMs %v\n",
-		cfg.Name, gpus, topo, st.ops, st.kind(), st.warps, smsFlag)
-	st.report()
+		cfg.Name, gpus, topo, ops, kind, warps, smsFlag)
+	report(&cfg, times)
 	l2 := m.GPU(1).Partition().Stats()
 	fmt.Printf("  remote L2 (device 1): %d served, %d hits, %d misses\n", l2.Served, l2.Hits, l2.Misses)
 	for _, l := range m.Links() {

@@ -120,18 +120,20 @@ func Calibrate(cfg *Config, p ChannelParams, co ...device.KernelSpec) (ChannelPa
 // NewTPCTransmission prepares a TPC-channel transmission over the given TPCs
 // (nil = all TPCs, the multi-TPC channel).
 func NewTPCTransmission(cfg *Config, payload []Symbol, tpcs []int, p ChannelParams) (*Transmission, error) {
-	return core.NewTPCTransmission(cfg, payload, tpcs, p)
+	p.Kind = core.TPCChannel
+	return core.NewTransmission(cfg, payload, tpcs, p)
 }
 
 // NewGPCTransmission prepares a GPC-channel transmission over the given GPCs
 // (nil = all GPCs, the multi-GPC channel).
 func NewGPCTransmission(cfg *Config, payload []Symbol, gpcs []int, p ChannelParams) (*Transmission, error) {
-	return core.NewGPCTransmission(cfg, payload, gpcs, p)
+	p.Kind = core.GPCChannel
+	return core.NewTransmission(cfg, payload, gpcs, p)
 }
 
-// SendBytes transmits data over the covert channel configured by p (all
-// TPCs or GPCs of the kind) and returns the decoded result plus the
-// recovered bytes.
+// SendBytes transmits data over the on-die covert channel configured by p
+// (all TPCs or GPCs of the kind; the NVLink channel is rejected) and returns
+// the decoded result plus the recovered bytes.
 func SendBytes(cfg *Config, data []byte, p ChannelParams) (ChannelResult, []byte, error) {
 	bps := p.BitsPerSymbol
 	if bps == 0 {
@@ -141,13 +143,7 @@ func SendBytes(cfg *Config, data []byte, p ChannelParams) (ChannelResult, []byte
 	if err != nil {
 		return ChannelResult{}, nil, err
 	}
-	var tr *Transmission
-	switch p.Kind {
-	case core.GPCChannel:
-		tr, err = core.NewGPCTransmission(cfg, payload, nil, p)
-	default:
-		tr, err = core.NewTPCTransmission(cfg, payload, nil, p)
-	}
+	tr, err := core.NewTransmission(cfg, payload, nil, p)
 	if err != nil {
 		return ChannelResult{}, nil, err
 	}

@@ -83,7 +83,7 @@ func TestBaselinesSlowerThanInterconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := core.NewTPCTransmission(&cfg, bits, []int{0}, p)
+	tr, err := core.NewTransmission(&cfg, bits, []int{0}, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,11 +42,24 @@ func (r Result) String() string {
 	}
 }
 
+// line is one way of a set, 16 bytes. stamp packs the LRU timestamp and
+// the dirty bit as tick<<1 | dirty; ticks start at 1, so a zero stamp marks
+// an invalid way, and ticks are unique, so the smallest stamp of a set is
+// its least recently used line.
 type line struct {
-	valid bool
-	dirty bool
 	tag   uint64
-	used  uint64 // LRU timestamp
+	stamp uint64
+}
+
+func (l *line) valid() bool { return l.stamp != 0 }
+func (l *line) dirty() bool { return l.stamp&1 != 0 }
+
+// touch records a use at tick, marking the line dirty on a write.
+func (l *line) touch(tick uint64, write bool) {
+	l.stamp = tick<<1 | l.stamp&1
+	if write {
+		l.stamp |= 1
+	}
 }
 
 // Cache is a blocking-free set-associative cache model. It tracks presence
@@ -138,7 +151,7 @@ func (c *Cache) set(lineAddr uint64) []line {
 // prefix, free is the first invalid way (ways when the set is full).
 func find(set []line, lineAddr uint64) (way, free int) {
 	for w := range set {
-		if !set[w].valid {
+		if !set[w].valid() {
 			return -1, w
 		}
 		if set[w].tag == lineAddr {
@@ -157,11 +170,7 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 	set := c.set(la)
 	c.useTick++
 	if w, _ := find(set, la); w >= 0 {
-		s := &set[w]
-		s.used = c.useTick
-		if write {
-			s.dirty = true
-		}
+		set[w].touch(c.useTick, write)
 		c.hits++
 		if c.pr != nil {
 			c.pr.hits.Inc()
@@ -224,27 +233,25 @@ func (c *Cache) Fill(addr uint64, write bool) (waiters int, writeback bool) {
 	w, free := find(set, la)
 	if w >= 0 {
 		// Already resident (a racing preload): refresh recency only.
-		set[w].used = c.useTick
-		if write {
-			set[w].dirty = true
-		}
+		set[w].touch(c.useTick, write)
 		return waiters, false
 	}
 	if free == len(set) {
 		// Full set: the least recently used line makes way.
 		free = 0
 		for w := 1; w < len(set); w++ {
-			if set[w].used < set[free].used {
+			if set[w].stamp < set[free].stamp {
 				free = w
 			}
 		}
 		c.evictions++
-		if set[free].dirty {
+		if set[free].dirty() {
 			c.writebacks++
 			writeback = true
 		}
 	}
-	set[free] = line{valid: true, dirty: write, tag: la, used: c.useTick}
+	set[free] = line{tag: la}
+	set[free].touch(c.useTick, write)
 	return waiters, writeback
 }
 

@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func mk(t *testing.T, size, lineB, ways, mshrs int) *Cache {
@@ -175,6 +176,15 @@ func TestLinesAllocatedOnFirstUse(t *testing.T) {
 	c.Fill(0x40, false)
 	if !c.Probe(0x40) || c.Probe(0x80) {
 		t.Error("first fill did not install exactly its line")
+	}
+}
+
+// TestLineIs16Bytes pins the packed line: a tag and one stamp word holding
+// the LRU tick and the dirty bit. A preloaded Volta L2 allocates 147,456
+// lines per engine, so every byte here is 147 KB per engine.
+func TestLineIs16Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(line{}); n != 16 {
+		t.Errorf("line is %d bytes, want 16", n)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"gpunoc/internal/config"
 	"gpunoc/internal/device"
@@ -50,9 +51,6 @@ type Transmission struct {
 	units     []int              // unit id per receiver
 	data      [][]Symbol         // payload symbols per unit (pre-coding)
 	chunks    [][]Symbol         // wire symbols per unit (preamble + coded data)
-
-	preloadBase uint64
-	preloadSize uint64
 }
 
 // windowSpan separates per-SM probe windows; each window holds two warp
@@ -77,198 +75,89 @@ func splitPayload(payload []Symbol, n int) [][]Symbol {
 	return chunks
 }
 
-// NewTPCTransmission prepares a TPC-channel transmission over the given TPCs
-// (nil means all TPCs — the multi-TPC channel). The payload is split across
-// the active TPCs; each TPC carries its chunk independently, sender on one
-// SM and receiver on the other, co-located by the §4.3 thread-block
-// scheduling trick (a full-width sender launch followed by a full-width
-// receiver launch).
-func NewTPCTransmission(cfg *config.Config, payload []Symbol, tpcs []int, p Params) (*Transmission, error) {
-	p.Kind = TPCChannel
+// NewTransmission prepares an on-die transmission over the given units of
+// the channel p.Kind selects: TPCs for TPCChannel, GPCs for GPCChannel (nil
+// means all of them, the multi-TPC or multi-GPC channel). The payload is
+// split across the units; each carries its chunk independently. Sender and
+// receiver are co-located by the §4.3 thread-block scheduling trick: a
+// full-width sender launch followed by a full-width receiver launch, each
+// program choosing its role from the %smid it observes at runtime, exactly
+// like the real attack.
+//
+//   - TPC channel: the sender runs on the first SM of each TPC and the
+//     receiver on the second; the sender signals with writes (§3.4).
+//   - GPC channel: the first SM of the GPC's lowest TPC receives, and both
+//     SMs of every other TPC send, signalling with reads (§3.4, §4.5).
+//
+// The NVLink channel needs a mesh; see NewNVLinkTransmission and
+// CalibrateRemote.
+func NewTransmission(cfg *config.Config, payload []Symbol, units []int, p Params) (*Transmission, error) {
 	p, err := p.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	if len(payload) == 0 {
-		return nil, fmt.Errorf("core: empty payload")
-	}
-	if tpcs == nil {
-		for t := 0; t < cfg.NumTPCs(); t++ {
-			tpcs = append(tpcs, t)
-		}
-	}
-	active := map[int]int{} // tpc -> chunk index
-	for i, t := range tpcs {
-		if t < 0 || t >= cfg.NumTPCs() {
-			return nil, fmt.Errorf("core: TPC %d out of range", t)
-		}
-		if _, dup := active[t]; dup {
-			return nil, fmt.Errorf("core: TPC %d listed twice", t)
-		}
-		active[t] = i
-	}
-	tr := &Transmission{cfg: cfg, params: p, units: tpcs}
-	tr.data = splitPayload(payload, len(tpcs))
-	tr.chunks = tr.wireChunks()
-
-	// Sender: one block per TPC (fills SM slot 0 of every TPC); active
-	// only on the chosen TPCs. The symbol chunk is selected at runtime
-	// from the observed %smid, exactly like the real attack.
-	pp := tr.params
-	senderChunk := func(smid int) []Symbol {
-		if smid%cfg.SMsPerTPC != 0 {
-			return nil
-		}
-		ci, ok := active[cfg.TPCOfSM(smid)]
-		if !ok {
-			return nil
-		}
-		return tr.chunks[ci]
-	}
-	tr.senderSpec = device.KernelSpec{
-		Name:          "cc-sender-tpc",
-		Blocks:        cfg.NumTPCs(),
-		WarpsPerBlock: pp.SenderWarps,
-		New: func(b, w int) device.Program {
-			return &senderProgram{
-				p:      &tr.params,
-				chunk:  senderChunk,
-				window: smWindow,
-				write:  true, // TPC channel signals with writes (§3.4)
-				lineB:  cfg.L2LineBytes,
-				simt:   cfg.SIMTWidth,
-				rng:    rand.New(rand.NewSource(pp.Seed ^ int64(b*64+w+1)*2654435761)),
-			}
-		},
-	}
-
-	// Receiver: one block per TPC (fills SM slot 1); active on the chosen
-	// TPCs, one probing warp each.
-	tr.receivers = make([]*receiverProgram, len(tpcs))
-	tr.receiverSpec = device.KernelSpec{
-		Name:          "cc-receiver-tpc",
-		Blocks:        cfg.NumTPCs(),
-		WarpsPerBlock: 1,
-		New: func(b, w int) device.Program {
-			r := &receiverProgram{
-				p: &tr.params,
-				active: func(smid int) bool {
-					if smid%cfg.SMsPerTPC == 0 {
-						return false
-					}
-					_, ok := active[cfg.TPCOfSM(smid)]
-					return ok
-				},
-				window: func(smid int) uint64 { return smWindow(smid) },
-				lineB:  cfg.L2LineBytes,
-				simt:   cfg.SIMTWidth,
-				rng:    rand.New(rand.NewSource(pp.Seed ^ int64(b+7)*40503)),
-			}
-			return r
-		},
-	}
-	// The receiver count per unit is bound after placement, in Run: the
-	// program discovers its TPC at runtime, so here we wrap New to patch
-	// count/registration lazily via the active() callback instead.
-	tr.bindReceivers(func(smid int) (int, bool) {
-		ci, ok := active[cfg.TPCOfSM(smid)]
-		return ci, ok && smid%cfg.SMsPerTPC != 0
-	})
-
-	tr.preloadBase = 0
-	tr.preloadSize = uint64(cfg.NumSMs()) * windowSpan
-	return tr, nil
-}
-
-// NewGPCTransmission prepares a GPC-channel transmission over the given GPCs
-// (nil = all). Within each GPC, the lowest TPC is the receiver and every
-// other TPC sends (both of its SMs, using reads, §4.5). The sender kernel is
-// launched across both SM slots of the whole GPU; the receiver kernel rides
-// the next launch wave.
-func NewGPCTransmission(cfg *config.Config, payload []Symbol, gpcs []int, p Params) (*Transmission, error) {
-	p.Kind = GPCChannel
-	p, err := p.withDefaults()
-	if err != nil {
-		return nil, err
+	var n int
+	var unitOf func(smid int) int
+	switch p.Kind {
+	case TPCChannel:
+		n, unitOf = cfg.NumTPCs(), cfg.TPCOfSM
+	case GPCChannel:
+		n, unitOf = cfg.NumGPCs, cfg.GPCOfSM
+	case NVLinkChannel:
+		return nil, fmt.Errorf("core: the NVLink channel needs a mesh (NewNVLinkTransmission, CalibrateRemote)")
+	default:
+		return nil, fmt.Errorf("core: unknown channel kind %v", p.Kind)
 	}
 	if len(payload) == 0 {
 		return nil, fmt.Errorf("core: empty payload")
 	}
-	if gpcs == nil {
-		for g := 0; g < cfg.NumGPCs; g++ {
-			gpcs = append(gpcs, g)
+	if units == nil {
+		for u := 0; u < n; u++ {
+			units = append(units, u)
 		}
 	}
-	active := map[int]int{} // gpc -> chunk index
-	recvTPC := map[int]int{}
-	for i, g := range gpcs {
-		if g < 0 || g >= cfg.NumGPCs {
-			return nil, fmt.Errorf("core: GPC %d out of range", g)
-		}
-		if _, dup := active[g]; dup {
-			return nil, fmt.Errorf("core: GPC %d listed twice", g)
-		}
-		active[g] = i
-		recvTPC[g] = cfg.TPCsOfGPC(g)[0]
+	chunkOf := make([]int, n) // unit -> chunk index, -1 when inactive
+	for i := range chunkOf {
+		chunkOf[i] = -1
 	}
-	tr := &Transmission{cfg: cfg, params: p, units: gpcs}
-	tr.data = splitPayload(payload, len(gpcs))
+	for i, u := range units {
+		if u < 0 || u >= n {
+			return nil, fmt.Errorf("core: %v %d out of range", p.Kind, u)
+		}
+		if chunkOf[u] >= 0 {
+			return nil, fmt.Errorf("core: %v %d listed twice", p.Kind, u)
+		}
+		chunkOf[u] = i
+	}
+	tr := &Transmission{cfg: cfg, params: p, units: units}
+	tr.data = splitPayload(payload, len(units))
 	tr.chunks = tr.wireChunks()
 
-	pp := tr.params
-	senderChunk := func(smid int) []Symbol {
-		g := cfg.GPCOfSM(smid)
-		ci, ok := active[g]
-		if !ok || cfg.TPCOfSM(smid) == recvTPC[g] {
-			return nil
+	first := func(smid int) bool { return smid%cfg.SMsPerTPC == 0 }
+	sends, receives := first, func(smid int) bool { return !first(smid) }
+	senderBlocks := cfg.NumTPCs() // fills the first SM of every TPC
+	if p.Kind == GPCChannel {
+		recvTPC := make([]int, cfg.NumGPCs)
+		for g := range recvTPC {
+			recvTPC[g] = cfg.TPCsOfGPC(g)[0]
 		}
-		return tr.chunks[ci]
+		inRecvTPC := func(smid int) bool { return cfg.TPCOfSM(smid) == recvTPC[cfg.GPCOfSM(smid)] }
+		sends = func(smid int) bool { return !inRecvTPC(smid) }
+		receives = func(smid int) bool { return inRecvTPC(smid) && first(smid) }
+		senderBlocks = cfg.NumSMs() // both SM slots of every TPC
 	}
-	tr.senderSpec = device.KernelSpec{
-		Name:          "cc-sender-gpc",
-		Blocks:        cfg.NumSMs(), // both SM slots of every TPC
-		WarpsPerBlock: pp.SenderWarps,
-		New: func(b, w int) device.Program {
-			return &senderProgram{
-				p:      &tr.params,
-				chunk:  senderChunk,
-				window: smWindow,
-				write:  false, // GPC channel signals with reads (§3.4)
-				lineB:  cfg.L2LineBytes,
-				simt:   cfg.SIMTWidth,
-				rng:    rand.New(rand.NewSource(pp.Seed ^ int64(b*64+w+1)*2654435761)),
+	chunk := func(role func(smid int) bool) func(smid int) int {
+		return func(smid int) int {
+			if !role(smid) {
+				return -1
 			}
-		},
+			return chunkOf[unitOf(smid)]
+		}
 	}
-
-	tr.receivers = make([]*receiverProgram, len(gpcs))
-	tr.receiverSpec = device.KernelSpec{
-		Name:          "cc-receiver-gpc",
-		Blocks:        cfg.NumTPCs(),
-		WarpsPerBlock: 1,
-		New: func(b, w int) device.Program {
-			return &receiverProgram{
-				p: &tr.params,
-				active: func(smid int) bool {
-					g := cfg.GPCOfSM(smid)
-					_, ok := active[g]
-					return ok && cfg.TPCOfSM(smid) == recvTPC[g] && smid%cfg.SMsPerTPC == 0
-				},
-				window: func(smid int) uint64 { return smWindow(smid) },
-				lineB:  cfg.L2LineBytes,
-				simt:   cfg.SIMTWidth,
-				rng:    rand.New(rand.NewSource(pp.Seed ^ int64(b+7)*40503)),
-			}
-		},
-	}
-	tr.bindReceivers(func(smid int) (int, bool) {
-		g := cfg.GPCOfSM(smid)
-		ci, ok := active[g]
-		return ci, ok && cfg.TPCOfSM(smid) == recvTPC[g] && smid%cfg.SMsPerTPC == 0
-	})
-
-	tr.preloadBase = 0
-	tr.preloadSize = uint64(cfg.NumSMs()) * windowSpan
+	tr.build(
+		kernelSide{blocks: senderBlocks, chunk: chunk(sends), window: smWindow},
+		kernelSide{blocks: cfg.NumTPCs(), chunk: chunk(receives), window: smWindow},
+		p.Kind == TPCChannel)
 	return tr, nil
 }
 
@@ -282,28 +171,71 @@ func (tr *Transmission) wireChunks() [][]Symbol {
 	return out
 }
 
-// bindReceivers wraps the receiver factory so each constructed program
-// registers itself under its unit's slot (discovered from its SM at runtime)
-// and learns its chunk length.
-func (tr *Transmission) bindReceivers(classify func(smid int) (chunkIdx int, active bool)) {
-	inner := tr.receiverSpec.New
-	tr.receiverSpec.New = func(b, w int) device.Program {
-		prog := inner(b, w).(*receiverProgram)
-		innerActive := prog.active
-		prog.active = func(smid int) bool {
-			if !innerActive(smid) {
-				return false
+// kernelSide describes one of a transmission's two kernels: its grid, and
+// what the program a block runs does on the SM it lands on.
+type kernelSide struct {
+	blocks int
+	// chunk returns the index of the chunk the program on smid carries, or
+	// -1 when the program exits at once (its block only reserved the SM).
+	chunk  func(smid int) int
+	window addrFunc
+	phase  phaseFunc // nil = phase 0 (on-die channels)
+}
+
+// build makes tr's sender and receiver kernels: SenderWarps sender warps
+// per block, signalling with writes when write is set and with reads
+// otherwise, and one receiver warp per block that listens for its chunk's
+// whole wire stream plus the alignment guard.
+func (tr *Transmission) build(send, recv kernelSide, write bool) {
+	cfg, pp := tr.cfg, tr.params
+	name := strings.ToLower(pp.Kind.String())
+	tr.senderSpec = device.KernelSpec{
+		Name:          "cc-sender-" + name,
+		Blocks:        send.blocks,
+		WarpsPerBlock: pp.SenderWarps,
+		New: func(b, w int) device.Program {
+			return &senderProgram{
+				p: &tr.params,
+				chunk: func(smid int) []Symbol {
+					if ci := send.chunk(smid); ci >= 0 {
+						return tr.chunks[ci]
+					}
+					return nil
+				},
+				window: send.window,
+				phase:  send.phase,
+				write:  write,
+				lineB:  cfg.L2LineBytes,
+				simt:   cfg.SIMTWidth,
+				rng:    rand.New(rand.NewSource(pp.Seed ^ int64(b*64+w+1)*2654435761)),
 			}
-			ci, ok := classify(smid)
-			if !ok {
-				return false
+		},
+	}
+	tr.receivers = make([]*receiverProgram, len(tr.chunks))
+	tr.receiverSpec = device.KernelSpec{
+		Name:          "cc-receiver-" + name,
+		Blocks:        recv.blocks,
+		WarpsPerBlock: 1,
+		New: func(b, w int) device.Program {
+			r := &receiverProgram{
+				p:      &tr.params,
+				window: recv.window,
+				phase:  recv.phase,
+				lineB:  cfg.L2LineBytes,
+				simt:   cfg.SIMTWidth,
+				rng:    rand.New(rand.NewSource(pp.Seed ^ int64(b+7)*40503)),
 			}
-			// Listen for the whole wire stream plus the alignment guard.
-			prog.count = len(tr.chunks[ci]) + tr.params.ResyncGuardSlots
-			tr.receivers[ci] = prog
-			return true
-		}
-		return prog
+			r.active = func(smid int) bool {
+				ci := recv.chunk(smid)
+				if ci < 0 {
+					return false
+				}
+				r.count = len(tr.chunks[ci]) + tr.params.ResyncGuardSlots
+				tr.receivers[ci] = r
+				return true
+			}
+			return r
+		},
 	}
 }
 
@@ -330,11 +262,12 @@ func (tr *Transmission) RunOn(g *engine.GPU, launchSkew uint64) (Result, error) 
 	return tr.Finish(g)
 }
 
-// Launch places the sender and receiver kernels on g without running the
-// simulation, so callers can co-schedule additional kernels (for example
-// the §5 third-kernel noise study) before Finish.
+// Launch preloads every SM's probe window and places the sender and
+// receiver kernels on g without running the simulation, so callers can
+// co-schedule additional kernels (for example the §5 third-kernel noise
+// study) before Finish.
 func (tr *Transmission) Launch(g *engine.GPU, launchSkew uint64) error {
-	g.Preload(tr.preloadBase, tr.preloadSize)
+	g.Preload(0, uint64(tr.cfg.NumSMs())*windowSpan)
 	if _, err := g.Launch(tr.senderSpec); err != nil {
 		return err
 	}
@@ -413,14 +346,7 @@ func (tr *Transmission) decode() (Result, error) {
 // from the trace, not decoded symbols.
 func Calibrate(cfg *config.Config, p Params, preambleSlots int, co ...device.KernelSpec) (Params, error) {
 	return calibrate(p, preambleSlots, func(cal Params, payload []Symbol) (Result, error) {
-		var tr *Transmission
-		var err error
-		switch cal.Kind {
-		case GPCChannel:
-			tr, err = NewGPCTransmission(cfg, payload, []int{0}, cal)
-		default:
-			tr, err = NewTPCTransmission(cfg, payload, []int{0}, cal)
-		}
+		tr, err := NewTransmission(cfg, payload, []int{0}, cal)
 		if err != nil {
 			return Result{}, err
 		}

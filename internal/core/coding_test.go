@@ -242,7 +242,7 @@ func TestCodedTransmissionOverSmallConfig(t *testing.T) {
 			t.Fatalf("%v: calibrate: %v", coding, err)
 		}
 		payload := bitsOf("1011001110001011")
-		tr, err := NewTPCTransmission(&cfg, payload, []int{0}, p)
+		tr, err := NewTransmission(&cfg, payload, []int{0}, p)
 		if err != nil {
 			t.Fatalf("%v: %v", coding, err)
 		}

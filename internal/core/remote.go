@@ -26,10 +26,8 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 
 	"gpunoc/internal/config"
-	"gpunoc/internal/device"
 	"gpunoc/internal/mesh"
 )
 
@@ -97,52 +95,30 @@ func NewNVLinkTransmission(m *mesh.Mesh, sdev, rdev int, payload []Symbol, p Par
 	sClocks := m.GPU(sdev).Clocks()
 	rClocks := m.GPU(rdev).Clocks()
 
-	pp := tr.params
 	// One SM's LSU cannot back up the NVLink (its outstanding-request cap
 	// is below the link's bandwidth-delay product), so the flood runs on
 	// several SMs of the sending device — NVBleed saturates the link with a
 	// multi-SM copy for the same reason. The receiver needs no co-location
-	// trick at all: it sits alone on the other device.
+	// trick at all: it sits alone on the other device. Writes carry data
+	// flits across the flood link.
 	senderSMs := nvlinkSenderSMs
 	if n := cfg.NumSMs(); senderSMs > n {
 		senderSMs = n
 	}
-	tr.senderSpec = device.KernelSpec{
-		Name:          "cc-sender-nvlink",
-		Blocks:        senderSMs,
-		WarpsPerBlock: pp.SenderWarps,
-		New: func(b, w int) device.Program {
-			return &senderProgram{
-				p:      &tr.params,
-				chunk:  func(smid int) []Symbol { return tr.chunks[0] },
-				window: func(smid int) uint64 { return sWindow },
-				phase:  func(smid int) uint64 { return sClocks.Read64(smid, 0) },
-				write:  true, // writes carry data flits across the flood link
-				lineB:  cfg.L2LineBytes,
-				simt:   cfg.SIMTWidth,
-				rng:    rand.New(rand.NewSource(pp.Seed ^ int64(b*64+w+1)*2654435761)),
-			}
+	tr.build(
+		kernelSide{
+			blocks: senderSMs,
+			chunk:  func(int) int { return 0 },
+			window: func(int) uint64 { return sWindow },
+			phase:  func(smid int) uint64 { return sClocks.Read64(smid, 0) },
 		},
-	}
-
-	tr.receivers = make([]*receiverProgram, 1)
-	tr.receiverSpec = device.KernelSpec{
-		Name:          "cc-receiver-nvlink",
-		Blocks:        1,
-		WarpsPerBlock: 1,
-		New: func(b, w int) device.Program {
-			return &receiverProgram{
-				p:      &tr.params,
-				active: func(smid int) bool { return true },
-				window: func(smid int) uint64 { return rWindow },
-				phase:  func(smid int) uint64 { return rClocks.Read64(smid, 0) },
-				lineB:  cfg.L2LineBytes,
-				simt:   cfg.SIMTWidth,
-				rng:    rand.New(rand.NewSource(pp.Seed ^ int64(b+7)*40503)),
-			}
+		kernelSide{
+			blocks: 1,
+			chunk:  func(int) int { return 0 },
+			window: func(int) uint64 { return rWindow },
+			phase:  func(smid int) uint64 { return rClocks.Read64(smid, 0) },
 		},
-	}
-	tr.bindReceivers(func(smid int) (int, bool) { return 0, true })
+		true)
 
 	return nt, nil
 }

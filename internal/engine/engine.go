@@ -64,10 +64,10 @@ type GPU struct {
 	now     uint64
 
 	// Activity-driven scheduling: SMs are woken by AddWarp/OnReply and
-	// parked by step once Quiescent() holds. smSet is nil when
-	// cfg.ExhaustiveTick is set, selecting the tick-everything reference
-	// path. running counts kernels not yet done, so Run can fast-forward
-	// across stretches where no component holds work.
+	// parked by step once Quiescent() holds (never, under
+	// cfg.ExhaustiveTick; see sched.NewActiveSet). running counts kernels
+	// not yet done, so Run can fast-forward across stretches where no
+	// component holds work.
 	smSet   *sched.ActiveSet
 	running int
 
@@ -130,11 +130,9 @@ func New(cfg config.Config) (*GPU, error) {
 			return nil, err
 		}
 	}
-	if !g.cfg.ExhaustiveTick {
-		g.smSet = sched.NewActiveSet(len(g.sms))
-		for i, s := range g.sms {
-			s.SetWaker(func() { g.smSet.Wake(i) })
-		}
+	g.smSet = sched.NewActiveSet(len(g.sms), g.cfg.ExhaustiveTick)
+	for i, s := range g.sms {
+		s.SetWaker(func() { g.smSet.Wake(i) })
 	}
 	if g.cfg.Telemetry != nil {
 		if g.cfg.Probes == nil {
@@ -241,21 +239,14 @@ func (g *GPU) LaunchAt(at uint64, spec device.KernelSpec) (*Kernel, error) {
 }
 
 // step advances the GPU by one cycle in a fixed component order: SMs issue,
-// the fabric moves packets, the memory partitions service requests. Under
-// activity-driven scheduling only active SMs tick (in ascending id order,
-// matching the exhaustive loop); an SM whose warps are all stalled on memory
-// parks itself until a reply or a new warp wakes it. Kernel completion is
-// checked only in cycles where some warp finished its program: no other
-// event can complete a kernel.
+// the fabric moves packets, the memory partitions service requests. Only
+// active SMs tick, in ascending id order; an SM whose warps are all stalled
+// on memory parks itself until a reply or a new warp wakes it. Kernel
+// completion is checked only in cycles where some warp finished its
+// program: no other event can complete a kernel.
 func (g *GPU) step() {
 	exited := false
-	if g.smSet == nil {
-		for _, s := range g.sms {
-			if s.Tick(g.now) {
-				exited = true
-			}
-		}
-	} else if !g.smSet.Empty() {
+	if !g.smSet.Empty() {
 		for i, s := range g.sms {
 			if !g.smSet.Active(i) {
 				continue
@@ -358,12 +349,13 @@ func Run(s Stepper, cond func() bool, budget uint64) (ran uint64, fired bool) {
 
 // Quiet reports whether every component is parked, no kernel is running
 // and no packet waits in a remote outbox: no future cycle can do work until
-// the next Launch or AcceptRemote. Always false in exhaustive mode.
+// the next Launch or AcceptRemote. Never true in exhaustive mode, where
+// nothing parks.
 func (g *GPU) Quiet() bool {
 	if g.rmt != nil && !g.rmt.boxesEmpty() {
 		return false
 	}
-	return g.smSet != nil && g.running == 0 && g.smSet.Empty() &&
+	return g.running == 0 && g.smSet.Empty() &&
 		g.net.Quiet() && g.part.Quiet()
 }
 

@@ -7,6 +7,7 @@ import (
 	"gpunoc/internal/core"
 	"gpunoc/internal/device"
 	"gpunoc/internal/engine"
+	"gpunoc/internal/reveng"
 	"gpunoc/internal/stats"
 	"gpunoc/internal/warp"
 )
@@ -145,7 +146,7 @@ func NoiseExperiment(cfg *config.Config, opt Options) (*Figure, error) {
 		{"streaming, other GPCs only", true, false},
 		{"streaming, receiver's GPC", true, true},
 	} {
-		tr, err := core.NewTPCTransmission(cfg, payload, []int{0}, p)
+		tr, err := core.NewTransmission(cfg, payload, []int{0}, p)
 		if err != nil {
 			return nil, err
 		}
@@ -234,7 +235,7 @@ func SenderWarpsAblation(cfg *config.Config, opt Options) (*Figure, error) {
 			f.Rows = append(f.Rows, []string{fmt.Sprintf("%d", warps), "uncalibratable", "-"})
 			continue
 		}
-		tr, err := core.NewTPCTransmission(cfg, payload, []int{0}, p)
+		tr, err := core.NewTransmission(cfg, payload, []int{0}, p)
 		if err != nil {
 			return nil, err
 		}
@@ -283,7 +284,7 @@ func SlotAblation(cfg *config.Config, opt Options) (*Figure, error) {
 				fmt.Sprintf("%.2f", scale), fmt.Sprintf("%d", slot), "uncalibratable", "-"})
 			continue
 		}
-		tr, err := core.NewTPCTransmission(cfg, payload, []int{0}, p)
+		tr, err := core.NewTransmission(cfg, payload, []int{0}, p)
 		if err != nil {
 			return nil, err
 		}
@@ -346,17 +347,17 @@ func SpeedupAblation(cfg *config.Config, opt Options) (*Figure, error) {
 		c.NoC.GPCRepRateDen = 100
 		ref := gpcTPCs[0]
 		measure := func(n int) (uint64, error) {
-			var acts []activation
+			var acts []reveng.Activation
 			for _, tpc := range gpcTPCs[:n] {
 				for _, sm := range c.SMsOfTPC(tpc) {
 					o := ops
 					if tpc != ref {
 						o = ops * 3
 					}
-					acts = append(acts, activation{sm: sm, ops: o, warps: warps, write: false})
+					acts = append(acts, reveng.Activation{SM: sm, Ops: o, Warps: warps, Write: false})
 				}
 			}
-			times, err := runActivations(&c, acts)
+			times, err := reveng.Measure(&c, acts, reveng.WarpLayout(0, warps))
 			if err != nil {
 				return 0, err
 			}
@@ -429,7 +430,7 @@ func ClockFuzzExperiment(cfg *config.Config, opt Options) (*Figure, error) {
 		if err != nil {
 			return core.Result{}, err
 		}
-		tr, err := core.NewTPCTransmission(&c, payload, []int{0}, p)
+		tr, err := core.NewTransmission(&c, payload, []int{0}, p)
 		if err != nil {
 			return core.Result{}, err
 		}
@@ -515,11 +516,11 @@ func SideChannelExperiment(cfg *config.Config, opt Options) (*Figure, error) {
 	// SM1, the other SM of TPC0.
 	var xs, ys []float64
 	for _, victimOps := range []int{0, ops / 4, ops / 2, 3 * ops / 4, ops} {
-		acts := []activation{{sm: 1, ops: ops, warps: warps, write: true}}
+		acts := []reveng.Activation{{SM: 1, Ops: ops, Warps: warps, Write: true}}
 		if victimOps > 0 {
-			acts = append(acts, activation{sm: 0, ops: victimOps, warps: warps, write: false})
+			acts = append(acts, reveng.Activation{SM: 0, Ops: victimOps, Warps: warps, Write: false})
 		}
-		times, err := runActivations(cfg, acts)
+		times, err := reveng.Measure(cfg, acts, reveng.WarpLayout(0, warps))
 		if err != nil {
 			return nil, err
 		}

@@ -119,7 +119,7 @@ func Fig9(cfg *config.Config, opt Options) (*Figure, error) {
 	} {
 		pm := p
 		pm.SyncPeriod = mode.sync
-		tr, err := core.NewTPCTransmission(cfg, payload, []int{0}, pm)
+		tr, err := core.NewTransmission(cfg, payload, []int{0}, pm)
 		if err != nil {
 			return nil, err
 		}
@@ -191,13 +191,7 @@ func fig10Variant(cfg *config.Config, kind core.Kind, units []int, bitsTotal int
 			return nil, err
 		}
 		payload := core.AlternatingPayload(bitsTotal, 2)
-		var tr *core.Transmission
-		switch kind {
-		case core.GPCChannel:
-			tr, err = core.NewGPCTransmission(cfg, payload, units, p)
-		default:
-			tr, err = core.NewTPCTransmission(cfg, payload, units, p)
-		}
+		tr, err := core.NewTransmission(cfg, payload, units, p)
 		if err != nil {
 			return nil, err
 		}
@@ -335,7 +329,7 @@ func Fig13(cfg *config.Config, opt Options) (*Figure, error) {
 		p := base
 		p.SenderCoalesced = c.senderCoal
 		p.ReceiverCoalesced = c.receiverCoal
-		tr, err := core.NewTPCTransmission(cfg, payload, []int{0}, p)
+		tr, err := core.NewTransmission(cfg, payload, []int{0}, p)
 		if err != nil {
 			return nil, err
 		}
@@ -410,7 +404,7 @@ func Fig14(cfg *config.Config, opt Options) (*Figure, error) {
 			level = level%3 + 1
 		}
 	}
-	tr, err := core.NewTPCTransmission(cfg, payload, []int{0}, p2)
+	tr, err := core.NewTransmission(cfg, payload, []int{0}, p2)
 	if err != nil {
 		return nil, err
 	}
@@ -432,7 +426,7 @@ func Fig14(cfg *config.Config, opt Options) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	trBin, err := core.NewTPCTransmission(cfg, core.AlternatingPayload(n, 2), []int{0}, p1)
+	trBin, err := core.NewTransmission(cfg, core.AlternatingPayload(n, 2), []int{0}, p1)
 	if err != nil {
 		return nil, err
 	}
@@ -487,7 +481,7 @@ func MPSOverhead(cfg *config.Config, opt Options) (*Figure, error) {
 	// MPS co-processes coordinate launches on the CPU, so the device-side
 	// skew is bounded well below the initial synchronization window.
 	for _, skew := range []uint64{0, 2000, 6000} {
-		tr, err := core.NewTPCTransmission(cfg, payload, []int{0}, p)
+		tr, err := core.NewTransmission(cfg, payload, []int{0}, p)
 		if err != nil {
 			return nil, err
 		}

@@ -258,10 +258,10 @@ func Fig5(cfg *config.Config, opt Options) (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		times, err := runActivations(cfg, []activation{
-			{sm: 0, ops: ops, warps: warps, write: write},
-			{sm: 1, ops: ops * 3, warps: warps, write: write},
-		})
+		times, err := reveng.Measure(cfg, []reveng.Activation{
+			{SM: 0, Ops: ops, Warps: warps, Write: write},
+			{SM: 1, Ops: ops * 3, Warps: warps, Write: write},
+		}, reveng.WarpLayout(0, warps))
 		if err != nil {
 			return nil, err
 		}
@@ -283,17 +283,17 @@ func Fig5(cfg *config.Config, opt Options) (*Figure, error) {
 		var solo uint64
 		var xs, ys []float64
 		for n := 1; n <= len(gpcTPCs); n++ {
-			var acts []activation
+			var acts []reveng.Activation
 			for _, tpc := range gpcTPCs[:n] {
 				for _, sm := range cfg.SMsOfTPC(tpc) {
 					o := ops
 					if tpc != ref {
 						o = ops * 3
 					}
-					acts = append(acts, activation{sm: sm, ops: o, warps: warps, write: write})
+					acts = append(acts, reveng.Activation{SM: sm, Ops: o, Warps: warps, Write: write})
 				}
 			}
-			times, err := runActivations(cfg, acts)
+			times, err := reveng.Measure(cfg, acts, reveng.WarpLayout(0, warps))
 			if err != nil {
 				return nil, err
 			}
@@ -406,11 +406,11 @@ func Fig8(cfg *config.Config, opt Options) (*Figure, error) {
 	for _, contender := range []int{1, otherTPC} {
 		var xs, ys []float64
 		for _, frac := range fractions {
-			acts := []activation{{sm: 0, ops: ops, warps: warps, write: true}}
+			acts := []reveng.Activation{{SM: 0, Ops: ops, Warps: warps, Write: true}}
 			if c := int(frac * float64(ops)); c > 0 {
-				acts = append(acts, activation{sm: contender, ops: c, warps: warps, write: true})
+				acts = append(acts, reveng.Activation{SM: contender, Ops: c, Warps: warps, Write: true})
 			}
-			times, err := runActivations(cfg, acts)
+			times, err := reveng.Measure(cfg, acts, reveng.WarpLayout(0, warps))
 			if err != nil {
 				return nil, err
 			}
@@ -468,11 +468,11 @@ func Fig11(cfg *config.Config, opt Options) (*Figure, error) {
 	refTPC := cfg.TPCsOfGPC(0)[0]
 	refSMs := cfg.SMsOfTPC(refTPC)
 
-	var refActs []activation
+	var refActs []reveng.Activation
 	for _, sm := range refSMs {
-		refActs = append(refActs, activation{sm: sm, ops: ops, warps: warps, write: false})
+		refActs = append(refActs, reveng.Activation{SM: sm, Ops: ops, Warps: warps, Write: false})
 	}
-	baseTimes, err := runActivations(cfg, refActs)
+	baseTimes, err := reveng.Measure(cfg, refActs, reveng.WarpLayout(0, warps))
 	if err != nil {
 		return nil, err
 	}
@@ -495,15 +495,15 @@ func Fig11(cfg *config.Config, opt Options) (*Figure, error) {
 	} {
 		var xs, ys []float64
 		for _, frac := range fractions {
-			acts := append([]activation(nil), refActs...)
+			acts := append([]reveng.Activation(nil), refActs...)
 			if c := int(frac * float64(ops)); c > 0 {
 				for _, tpc := range series.tpcs {
 					for _, sm := range cfg.SMsOfTPC(tpc) {
-						acts = append(acts, activation{sm: sm, ops: c, warps: warps, write: false})
+						acts = append(acts, reveng.Activation{SM: sm, Ops: c, Warps: warps, Write: false})
 					}
 				}
 			}
-			times, err := runActivations(cfg, acts)
+			times, err := reveng.Measure(cfg, acts, reveng.WarpLayout(0, warps))
 			if err != nil {
 				return nil, err
 			}

@@ -7,6 +7,7 @@ import (
 	"gpunoc/internal/core"
 	"gpunoc/internal/device"
 	"gpunoc/internal/engine"
+	"gpunoc/internal/reveng"
 	"gpunoc/internal/stats"
 )
 
@@ -62,11 +63,11 @@ func Fig15(cfg *config.Config, opt Options) (*Figure, error) {
 		}
 		var xs, ys []float64
 		for _, frac := range fractions {
-			acts := []activation{{sm: 0, ops: ops, warps: warps, write: true}}
+			acts := []reveng.Activation{{SM: 0, Ops: ops, Warps: warps, Write: true}}
 			if contOps := int(frac * float64(ops)); contOps > 0 {
-				acts = append(acts, activation{sm: 1, ops: contOps, warps: warps, write: true})
+				acts = append(acts, reveng.Activation{SM: 1, Ops: contOps, Warps: warps, Write: true})
 			}
-			times, err := runActivations(&c, acts)
+			times, err := reveng.Measure(&c, acts, reveng.WarpLayout(0, warps))
 			if err != nil {
 				return nil, err
 			}
@@ -130,7 +131,7 @@ func SRRChannelDefeat(cfg *config.Config, opt Options) (*Figure, error) {
 	for _, pol := range []config.ArbPolicy{config.ArbRR, config.ArbCRR, config.ArbSRR} {
 		c := *cfg
 		c.NoC.Arbitration = pol
-		tr, err := core.NewTPCTransmission(&c, payload, []int{0}, p)
+		tr, err := core.NewTransmission(&c, payload, []int{0}, p)
 		if err != nil {
 			return nil, err
 		}

@@ -21,8 +21,7 @@ import (
 	"strings"
 
 	"gpunoc/internal/config"
-	"gpunoc/internal/device"
-	"gpunoc/internal/engine"
+	"gpunoc/internal/reveng"
 )
 
 // Series is one named curve of an experiment figure.
@@ -130,113 +129,11 @@ func (f *Figure) Render() string {
 	return b.String()
 }
 
-// pairRunner runs the two-kernel contention micro-benchmarks shared by
-// Fig 2/5/8/11: a measured workload on chosen SMs plus a contender workload,
-// both built from the Algorithm 1 streamer.
-type activation struct {
-	sm    int
-	ops   int
-	warps int
-	write bool
-}
-
-// runActivations launches one kernel whose blocks cover every SM; each
-// activated SM runs its streamer, everyone else exits. It returns each
-// activated SM's execution time (slowest warp) in cycles.
-func runActivations(cfg *config.Config, acts []activation) (map[int]uint64, error) {
-	bySM := map[int]activation{}
-	maxWarps := 1
-	for _, a := range acts {
-		if a.sm < 0 || a.sm >= cfg.NumSMs() {
-			return nil, fmt.Errorf("experiments: SM %d out of range", a.sm)
-		}
-		if _, dup := bySM[a.sm]; dup {
-			return nil, fmt.Errorf("experiments: SM %d activated twice", a.sm)
-		}
-		if a.warps <= 0 {
-			a.warps = 1
-		}
-		bySM[a.sm] = a
-		if a.warps > maxWarps {
-			maxWarps = a.warps
-		}
-	}
-	g, err := engine.New(*cfg)
-	if err != nil {
-		return nil, err
-	}
-	const span = 8192
-	g.Preload(0, uint64(cfg.NumSMs()*maxWarps)*span)
-
-	type meter struct {
-		active   bool
-		started  bool
-		start    uint64
-		end      uint64
-		sm       int
-		inner    device.Streamer
-		finished bool
-	}
-	var meters []*meter
-	spec := device.KernelSpec{
-		Name:          "contention",
-		Blocks:        cfg.NumSMs(),
-		WarpsPerBlock: maxWarps,
-		New: func(b, w int) device.Program {
-			m := &meter{}
-			meters = append(meters, m)
-			return device.StepFunc(func(ctx *device.Ctx) device.Op {
-				if !m.started {
-					m.started = true
-					a, ok := bySM[ctx.SMID]
-					if !ok || w >= a.warps || a.ops <= 0 {
-						return device.Done()
-					}
-					m.active = true
-					m.sm = ctx.SMID
-					m.start = ctx.Clock64
-					m.inner = device.Streamer{
-						Base:        uint64(ctx.SMID*maxWarps+w) * span,
-						LineBytes:   cfg.L2LineBytes,
-						Write:       a.write,
-						Count:       a.ops,
-						Uncoalesced: true,
-						WrapBytes:   span / 2,
-					}
-				}
-				if !m.active {
-					return device.Done()
-				}
-				op := m.inner.Step(ctx)
-				if op.Kind == device.OpDone && !m.finished {
-					m.finished = true
-					m.end = ctx.Clock64
-				}
-				return op
-			})
-		},
-	}
-	if _, err := g.Launch(spec); err != nil {
-		return nil, err
-	}
-	if err := g.RunKernels(100_000_000); err != nil {
-		return nil, err
-	}
-	out := map[int]uint64{}
-	for _, m := range meters {
-		if m.active && m.finished {
-			if d := m.end - m.start; d > out[m.sm] {
-				out[m.sm] = d
-			}
-		}
-	}
-	return out, nil
-}
-
-// soloTime measures one SM running the streamer alone (the normalization
-// baseline of the contention figures).
+// soloTime measures one SM running the Algorithm 1 streamer alone (the
+// normalization baseline of the contention figures).
 func soloTime(cfg *config.Config, sm, ops, warps int, write bool) (uint64, error) {
-	times, err := runActivations(cfg, []activation{{sm: sm, ops: ops, warps: warps, write: write}})
+	times, err := reveng.Measure(cfg, []reveng.Activation{{SM: sm, Ops: ops, Warps: warps, Write: write}},
+		reveng.WarpLayout(0, warps))
 	if err != nil {
 		return 0, err
 	}

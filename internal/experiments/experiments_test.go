@@ -14,16 +14,6 @@ func smallCfg() config.Config {
 
 func quickOpts() Options { return Options{Scale: Quick, Seed: 5} }
 
-func TestRunActivationsValidation(t *testing.T) {
-	cfg := smallCfg()
-	if _, err := runActivations(&cfg, []activation{{sm: -1, ops: 1}}); err == nil {
-		t.Error("negative SM should fail")
-	}
-	if _, err := runActivations(&cfg, []activation{{sm: 0, ops: 1}, {sm: 0, ops: 1}}); err == nil {
-		t.Error("duplicate SM should fail")
-	}
-}
-
 func TestFig2ShapeHolds(t *testing.T) {
 	cfg := smallCfg()
 	f, err := Fig2(&cfg, quickOpts())

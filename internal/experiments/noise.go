@@ -69,14 +69,7 @@ func noiseSpec(cfg *config.Config, intensity float64, slots int, slotCycles uint
 // noisySend runs one single-unit transmission with the given background
 // traffic co-scheduled (silent specs launch nothing).
 func noisySend(cfg *config.Config, payload []core.Symbol, p core.Params, specs ...noise.Spec) (core.Result, error) {
-	var tr *core.Transmission
-	var err error
-	switch p.Kind {
-	case core.GPCChannel:
-		tr, err = core.NewGPCTransmission(cfg, payload, []int{0}, p)
-	default:
-		tr, err = core.NewTPCTransmission(cfg, payload, []int{0}, p)
-	}
+	tr, err := core.NewTransmission(cfg, payload, []int{0}, p)
 	if err != nil {
 		return core.Result{}, err
 	}

@@ -143,12 +143,7 @@ func Table2(cfg *config.Config, opt Options) (*Figure, []Table2Row, error) {
 			return core.Result{}, err
 		}
 		pl := core.AlternatingPayload(nbits, 2)
-		var tr *core.Transmission
-		if kind == core.GPCChannel {
-			tr, err = core.NewGPCTransmission(cfg, pl, units, p)
-		} else {
-			tr, err = core.NewTPCTransmission(cfg, pl, units, p)
-		}
+		tr, err := core.NewTransmission(cfg, pl, units, p)
 		if err != nil {
 			return core.Result{}, err
 		}

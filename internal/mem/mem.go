@@ -367,9 +367,8 @@ type Partition struct {
 	mcs    []*dram.Controller
 
 	// Activity-driven scheduling: members are woken by their Accept/Enqueue
-	// edges and parked by Tick once Idle() holds. Both sets are nil when
-	// cfg.ExhaustiveTick is set, selecting the tick-everything reference
-	// path.
+	// edges and parked by Tick once Idle() holds (never, under
+	// cfg.ExhaustiveTick; see sched.NewActiveSet).
 	actSlices *sched.ActiveSet
 	actMCs    *sched.ActiveSet
 
@@ -410,15 +409,13 @@ func NewPartition(cfg *config.Config, out Deliver) (*Partition, error) {
 		}
 		p.slices[i] = sl
 	}
-	if !cfg.ExhaustiveTick {
-		p.actMCs = sched.NewActiveSet(len(p.mcs))
-		for i, mc := range p.mcs {
-			mc.SetWaker(func() { p.actMCs.Wake(i) })
-		}
-		p.actSlices = sched.NewActiveSet(len(p.slices))
-		for i, sl := range p.slices {
-			sl.SetWaker(func() { p.actSlices.Wake(i) })
-		}
+	p.actMCs = sched.NewActiveSet(len(p.mcs), cfg.ExhaustiveTick)
+	for i, mc := range p.mcs {
+		mc.SetWaker(func() { p.actMCs.Wake(i) })
+	}
+	p.actSlices = sched.NewActiveSet(len(p.slices), cfg.ExhaustiveTick)
+	for i, sl := range p.slices {
+		sl.SetWaker(func() { p.actSlices.Wake(i) })
 	}
 	if cfg.Probes != nil {
 		p.sliceTicks = cfg.Probes.Counter("sched/slice_ticks")
@@ -466,21 +463,10 @@ func (p *Partition) Preload(base, size uint64) {
 	}
 }
 
-// Tick advances every slice and controller one cycle. Under activity-driven
-// scheduling only active members tick, in the same ascending order as the
-// exhaustive loops: controllers first (a slice miss this cycle therefore
-// reaches its controller next cycle, with or without the scheduler), then
-// slices.
+// Tick advances every active slice and controller one cycle, in ascending
+// order: controllers first (a slice miss this cycle therefore reaches its
+// controller next cycle, with or without the scheduler), then slices.
 func (p *Partition) Tick(now uint64) {
-	if p.actMCs == nil {
-		for _, mc := range p.mcs {
-			mc.Tick(now)
-		}
-		for _, s := range p.slices {
-			s.Tick(now)
-		}
-		return
-	}
 	if !p.actMCs.Empty() {
 		for i, mc := range p.mcs {
 			if !p.actMCs.Active(i) {
@@ -512,10 +498,10 @@ func (p *Partition) Tick(now uint64) {
 }
 
 // Quiet reports whether the activity scheduler has every slice and
-// controller parked, i.e. the next Tick would do no work. Always false in
-// exhaustive mode, where nothing is ever parked.
+// controller parked, i.e. the next Tick would do no work. Never true in
+// exhaustive mode, where nothing parks.
 func (p *Partition) Quiet() bool {
-	return p.actMCs != nil && p.actMCs.Empty() && p.actSlices.Empty()
+	return p.actMCs.Empty() && p.actSlices.Empty()
 }
 
 // Idle reports whether all slices and controllers are drained.

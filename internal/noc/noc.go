@@ -44,9 +44,8 @@ type Network struct {
 	// order. A link is woken by its Enqueue edge and parked by Tick once
 	// Idle() holds; because upstream groups tick before downstream ones, an
 	// enqueue made while ticking group k reaches a group >k link the same
-	// cycle, exactly as under exhaustive ticking. All sets are nil when
-	// cfg.ExhaustiveTick is set, selecting the tick-everything reference
-	// path.
+	// cycle, exactly as under exhaustive ticking (cfg.ExhaustiveTick, where
+	// no link ever parks; see sched.NewActiveSet).
 	actReqTPC *sched.ActiveSet
 	actReqGPC *sched.ActiveSet
 	actXbar   *sched.ActiveSet
@@ -183,20 +182,18 @@ func New(cfg *config.Config, toSlice, toSM Deliver) (*Network, error) {
 		n.linkTicks = cfg.Probes.Counter("sched/link_ticks")
 	}
 
-	if !cfg.ExhaustiveTick {
-		wire := func(group []*link.Link) *sched.ActiveSet {
-			set := sched.NewActiveSet(len(group))
-			for i, l := range group {
-				l.SetWaker(func() { set.Wake(i) })
-			}
-			return set
+	wire := func(group []*link.Link) *sched.ActiveSet {
+		set := sched.NewActiveSet(len(group), cfg.ExhaustiveTick)
+		for i, l := range group {
+			l.SetWaker(func() { set.Wake(i) })
 		}
-		n.actReqTPC = wire(n.reqTPC)
-		n.actReqGPC = wire(n.reqGPC)
-		n.actXbar = wire(n.xbarIn)
-		n.actRepGPC = wire(n.repGPC)
-		n.actRepTPC = wire(n.repTPC)
+		return set
 	}
+	n.actReqTPC = wire(n.reqTPC)
+	n.actReqGPC = wire(n.reqGPC)
+	n.actXbar = wire(n.xbarIn)
+	n.actRepGPC = wire(n.repGPC)
+	n.actRepTPC = wire(n.repTPC)
 
 	return n, nil
 }
@@ -231,27 +228,9 @@ func (n *Network) InjectReply(now uint64, p *packet.Packet) {
 
 // Tick advances every link one cycle. Links are ticked leaf-to-root on the
 // request path and root-to-leaf on the reply path so a packet can traverse
-// at most one hop per cycle deterministically. Under activity-driven
-// scheduling only active links tick, in the same group and index order.
+// at most one hop per cycle deterministically. Only active links tick, in
+// group and index order.
 func (n *Network) Tick(now uint64) {
-	if n.actReqTPC == nil {
-		for _, l := range n.reqTPC {
-			l.Tick(now)
-		}
-		for _, l := range n.reqGPC {
-			l.Tick(now)
-		}
-		for _, l := range n.xbarIn {
-			l.Tick(now)
-		}
-		for _, l := range n.repGPC {
-			l.Tick(now)
-		}
-		for _, l := range n.repTPC {
-			l.Tick(now)
-		}
-		return
-	}
 	n.tickGroup(now, n.actReqTPC, n.reqTPC)
 	n.tickGroup(now, n.actReqGPC, n.reqGPC)
 	n.tickGroup(now, n.actXbar, n.xbarIn)
@@ -280,10 +259,10 @@ func (n *Network) tickGroup(now uint64, set *sched.ActiveSet, group []*link.Link
 }
 
 // Quiet reports whether the activity scheduler has every link parked, i.e.
-// the next Tick would do no work. Always false in exhaustive mode, where
-// nothing is ever parked.
+// the next Tick would do no work. Never true in exhaustive mode, where
+// nothing parks.
 func (n *Network) Quiet() bool {
-	return n.actReqTPC != nil && n.actReqTPC.Empty() && n.actReqGPC.Empty() &&
+	return n.actReqTPC.Empty() && n.actReqGPC.Empty() &&
 		n.actXbar.Empty() && n.actRepGPC.Empty() && n.actRepTPC.Empty()
 }
 

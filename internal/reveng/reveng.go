@@ -5,6 +5,9 @@
 // thread-block scheduler probe (§4.3). The tools treat the GPU as a black
 // box: they only launch kernels, read the %smid/clock() analogues, and
 // measure execution time — exactly the interface the paper's attacker has.
+//
+// The Algorithm 1 kernel (NewBench, Measure) is built here once; the
+// contention figures of internal/experiments and cmd/gpusim run it too.
 package reveng
 
 import (
@@ -17,114 +20,16 @@ import (
 	"gpunoc/internal/engine"
 )
 
-// timedStreamer wraps the Algorithm 1 streamer and records its own start and
-// end clocks, so execution time can be read per SM like the paper's kernels
-// do with clock().
-type timedStreamer struct {
-	inner    device.Streamer
-	target   func(smid int) bool
-	active   bool
-	decided  bool
-	Start    uint64
-	End      uint64
-	SMID     int
-	finished bool
-}
-
-func (t *timedStreamer) Step(ctx *device.Ctx) device.Op {
-	if !t.decided {
-		t.decided = true
-		t.active = t.target == nil || t.target(ctx.SMID)
-		if !t.active {
-			return device.Done()
-		}
-		t.SMID = ctx.SMID
-		t.Start = ctx.Clock64
+// timeSMs runs the §3 Algorithm 1 benchmark on every SM in sms, each with
+// warps warps of ops writes (or reads), and returns each SM's time in
+// cycles. An SM's warps alternate between the two 4 KB halves of its 8 KB
+// window.
+func timeSMs(cfg *config.Config, sms []int, write bool, warps, ops int) (map[int]uint64, error) {
+	acts := make([]Activation, len(sms))
+	for i, sm := range sms {
+		acts[i] = Activation{SM: sm, Ops: ops, Warps: warps, Write: write}
 	}
-	op := t.inner.Step(ctx)
-	if op.Kind == device.OpDone && !t.finished {
-		t.finished = true
-		t.End = ctx.Clock64
-	}
-	return op
-}
-
-// Duration returns the measured execution time in cycles (0 if inactive or
-// unfinished).
-func (t *timedStreamer) Duration() uint64 {
-	if !t.finished {
-		return 0
-	}
-	return t.End - t.Start
-}
-
-// runConfig drives one measurement: a full-coverage kernel whose blocks only
-// stream on the SMs selected by target.
-type runConfig struct {
-	cfg    *config.Config
-	write  bool
-	warps  int
-	ops    int
-	target func(smid int) bool
-}
-
-// runActive executes the benchmark and returns the duration measured on
-// every active SM, keyed by SM id.
-func runActive(rc runConfig) (map[int]uint64, error) {
-	g, err := engine.New(*rc.cfg)
-	if err != nil {
-		return nil, err
-	}
-	// Distinct, preloaded, L2-resident window per SM.
-	const span = 8192
-	g.Preload(0, uint64(rc.cfg.NumSMs())*span)
-	var progs []*timedStreamer
-	spec := device.KernelSpec{
-		Name:          "alg1",
-		Blocks:        rc.cfg.NumSMs(),
-		WarpsPerBlock: rc.warps,
-		New: func(b, w int) device.Program {
-			t := &timedStreamer{target: rc.target}
-			t.inner = device.Streamer{
-				LineBytes:   rc.cfg.L2LineBytes,
-				Write:       rc.write,
-				Count:       rc.ops,
-				Uncoalesced: true,
-				WrapBytes:   span / 2,
-			}
-			progs = append(progs, t)
-			return t
-		},
-	}
-	k, err := g.Launch(spec)
-	if err != nil {
-		return nil, err
-	}
-	// Windows follow the SM id, and placement is known only after launch,
-	// so bind each program's address window through the placement map.
-	smOfBlock := make(map[int]int, len(k.Blocks))
-	for _, bp := range k.Blocks {
-		smOfBlock[bp.Block] = bp.SM
-	}
-	for i, t := range progs {
-		block := i / rc.warps
-		warpID := i % rc.warps
-		sm := smOfBlock[block]
-		t.inner.Base = uint64(sm)*span + uint64(warpID%2)*(span/2)
-	}
-	if err := g.RunKernels(50_000_000); err != nil {
-		return nil, err
-	}
-	out := make(map[int]uint64)
-	for _, t := range progs {
-		if t.active && t.Duration() > 0 {
-			// Report the slowest warp of the SM (the block's time).
-			if t.Duration() > out[t.SMID] {
-				out[t.SMID] = t.Duration()
-			}
-		}
-	}
-	return out, nil
+	return Measure(cfg, acts, Layout{Slots: 2, Span: 4096})
 }
 
 // Fig2Point is one x-position of Fig 2.
@@ -141,8 +46,7 @@ func TPCSweep(cfg *config.Config, baseSM int, warps, ops int) ([]Fig2Point, erro
 	if baseSM < 0 || baseSM >= cfg.NumSMs() {
 		return nil, fmt.Errorf("reveng: base SM %d out of range", baseSM)
 	}
-	solo, err := runActive(runConfig{cfg: cfg, write: true, warps: warps, ops: ops,
-		target: func(smid int) bool { return smid == baseSM }})
+	solo, err := timeSMs(cfg, []int{baseSM}, true, warps, ops)
 	if err != nil {
 		return nil, err
 	}
@@ -155,9 +59,7 @@ func TPCSweep(cfg *config.Config, baseSM int, warps, ops int) ([]Fig2Point, erro
 		if other == baseSM {
 			continue
 		}
-		other := other
-		times, err := runActive(runConfig{cfg: cfg, write: true, warps: warps, ops: ops,
-			target: func(smid int) bool { return smid == baseSM || smid == other }})
+		times, err := timeSMs(cfg, []int{baseSM, other}, true, warps, ops)
 		if err != nil {
 			return nil, err
 		}
@@ -256,11 +158,15 @@ func GPCSweep(cfg *config.Config, refTPC int, opt GPCProbeOptions) ([]Fig3Point,
 			for len(active) < 2+background && len(active) < cfg.NumTPCs() {
 				active[rng.Intn(cfg.NumTPCs())] = true
 			}
+			var sms []int
+			for sm := 0; sm < cfg.NumSMs(); sm++ {
+				if active[cfg.TPCOfSM(sm)] {
+					sms = append(sms, sm)
+				}
+			}
 			seedCfg := *cfg
 			seedCfg.Seed = cfg.Seed + int64(rep*1000+probe)
-			times, err := runActive(runConfig{cfg: &seedCfg, write: false,
-				warps: opt.Warps, ops: opt.Ops,
-				target: func(smid int) bool { return active[cfg.TPCOfSM(smid)] }})
+			times, err := timeSMs(&seedCfg, sms, false, opt.Warps, opt.Ops)
 			if err != nil {
 				return nil, err
 			}
@@ -503,16 +409,11 @@ const quadThreshold = 1.08
 // probe completes the quartet.
 func quadTest(cfg *config.Config, ref, h1, h2, probe int, warps, ops int) (bool, error) {
 	measure := func(tpcs []int) (uint64, error) {
-		var target []int
+		var sms []int
 		for _, t := range tpcs {
-			target = append(target, cfg.SMsOfTPC(t)...)
+			sms = append(sms, cfg.SMsOfTPC(t)...)
 		}
-		sel := map[int]bool{}
-		for _, sm := range target {
-			sel[sm] = true
-		}
-		times, err := runActive(runConfig{cfg: cfg, write: false, warps: warps, ops: ops,
-			target: func(smid int) bool { return sel[smid] }})
+		times, err := timeSMs(cfg, sms, false, warps, ops)
 		if err != nil {
 			return 0, err
 		}

@@ -36,14 +36,27 @@ import "fmt"
 type ActiveSet struct {
 	active []bool
 	n      int
+	awake  bool // every member stays active: Park is a no-op
 }
 
-// NewActiveSet returns a set over members [0, size), all initially parked.
-func NewActiveSet(size int) *ActiveSet {
+// NewActiveSet returns a set over members [0, size). Members start parked,
+// unless alwaysAwake is set: then every member starts active and Park is a
+// no-op, so the owning tick loop ticks every member every cycle. That is the
+// exhaustive-tick reference mode (config.ExhaustiveTick) that the
+// bit-identity regressions compare the activity scheduler against, and the
+// only place it is implemented.
+func NewActiveSet(size int, alwaysAwake bool) *ActiveSet {
 	if size < 0 {
 		panic(fmt.Sprintf("sched: negative active-set size %d", size))
 	}
-	return &ActiveSet{active: make([]bool, size)}
+	s := &ActiveSet{active: make([]bool, size), awake: alwaysAwake}
+	if alwaysAwake {
+		for i := range s.active {
+			s.active[i] = true
+		}
+		s.n = size
+	}
+	return s
 }
 
 // Wake marks member i active. Waking an already-active member is a no-op,
@@ -58,7 +71,7 @@ func (s *ActiveSet) Wake(i int) {
 // Park marks member i inactive. Parking must only happen when ticking the
 // member is a no-op until its next wake edge.
 func (s *ActiveSet) Park(i int) {
-	if s.active[i] {
+	if s.active[i] && !s.awake {
 		s.active[i] = false
 		s.n--
 	}

@@ -1,7 +1,7 @@
-// Package stats provides the small statistics toolkit used by the
-// reverse-engineering probes, the covert-channel quality metrics, and the
-// experiment harness. Everything operates on float64 slices and is
-// allocation-light so it can run inside benchmark loops.
+// Package stats provides a small statistics toolkit over float64 slices.
+// The experiments' shape checks use LinearFit, Min and Max, and the probe
+// histograms report their distribution as a Dist; the other helpers have no
+// caller outside this package's tests.
 package stats
 
 import (
