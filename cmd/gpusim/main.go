@@ -195,7 +195,7 @@ func main() {
 // streaming into mem's windows laid out by lay, and run on r. It returns
 // each activated SM's slowest-warp time.
 func stream(cfg *config.Config, name string, acts []reveng.Activation, lay reveng.Layout,
-	dev, mem *engine.GPU, r reveng.KernelRunner) map[int]uint64 {
+	dev, mem *engine.GPU, r engine.KernelRunner) map[int]uint64 {
 	b, err := reveng.NewBench(cfg, acts, lay)
 	if err != nil {
 		fail(err)

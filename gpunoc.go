@@ -133,7 +133,9 @@ func NewGPCTransmission(cfg *Config, payload []Symbol, gpcs []int, p ChannelPara
 
 // SendBytes transmits data over the on-die covert channel configured by p
 // (all TPCs or GPCs of the kind; the NVLink channel is rejected) and returns
-// the decoded result plus the recovered bytes.
+// the decoded result plus the recovered bytes: each unit's data after
+// preamble alignment and code correction, with symbols a cut-short unit
+// never received read as zero.
 func SendBytes(cfg *Config, data []byte, p ChannelParams) (ChannelResult, []byte, error) {
 	bps := p.BitsPerSymbol
 	if bps == 0 {
@@ -151,18 +153,13 @@ func SendBytes(cfg *Config, data []byte, p ChannelParams) (ChannelResult, []byte
 	if err != nil {
 		return ChannelResult{}, nil, err
 	}
-	// Reassemble the received symbol stream in payload order.
-	received := make([]Symbol, 0, len(payload))
+	// Reassemble the decoded data in payload order.
+	decoded := make([]Symbol, 0, len(payload))
 	for _, pair := range res.Pairs {
-		received = append(received, pair.Received...)
+		decoded = append(decoded, pair.Decoded...)
+		decoded = append(decoded, make([]Symbol, len(pair.Sent)-len(pair.Decoded))...)
 	}
-	if len(received) > len(payload) {
-		received = received[:len(payload)]
-	}
-	for len(received) < len(payload) {
-		received = append(received, 0)
-	}
-	got, err := core.SymbolsToBytes(received, bps)
+	got, err := core.SymbolsToBytes(decoded, bps)
 	if err != nil {
 		return res, nil, fmt.Errorf("gpunoc: reassembly failed: %w", err)
 	}

@@ -2,6 +2,7 @@ package gpunoc
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -55,6 +56,57 @@ func TestSendBytesGPC(t *testing.T) {
 	}
 	if len(got) != 1 {
 		t.Errorf("recovered %d bytes", len(got))
+	}
+}
+
+// TestSendBytesReturnsDecodedPayload sends over every coding, preamble
+// length and symbol width on a quiet small GPU (Hamming(7,4) codes bits, so
+// it runs at one bit per symbol only). The returned bytes must differ from
+// the payload in exactly the symbols the result counts as errors, so a
+// result that reports no error returns the payload itself.
+func TestSendBytesReturnsDecodedPayload(t *testing.T) {
+	cfg := SmallConfig()
+	data := []byte("hi")
+	for _, bps := range []int{1, 2} {
+		base, err := Calibrate(&cfg, ChannelParams{Kind: TPCChannel, Iterations: 4, SyncPeriod: 16, Seed: 3, BitsPerSymbol: bps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent, err := BytesToSymbols(data, bps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, coding := range []Coding{CodingNone, CodingRepetition, CodingHamming74} {
+			if coding == CodingHamming74 && bps != 1 {
+				continue
+			}
+			for _, preamble := range []int{0, 13} {
+				p := base
+				p.Coding, p.PreambleSymbols = coding, preamble
+				name := fmt.Sprintf("%d-bit %v, preamble %d", bps, coding, preamble)
+				res, got, err := SendBytes(&cfg, data, p)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				t.Logf("%s: recovered %q, error rate %.3f", name, got, res.ErrorRate)
+				recovered, err := BytesToSymbols(got, bps)
+				if err != nil || len(recovered) != len(sent) {
+					t.Fatalf("%s: recovered %q (%v)", name, got, err)
+				}
+				diff := 0
+				for i := range sent {
+					if recovered[i] != sent[i] {
+						diff++
+					}
+				}
+				if diff != res.SymbolErrors {
+					t.Errorf("%s: recovered %q differs in %d symbols, result reports %d errors", name, got, diff, res.SymbolErrors)
+				}
+				if res.SymbolErrors == 0 && !bytes.Equal(got, data) {
+					t.Errorf("%s: no errors reported, recovered %q", name, got)
+				}
+			}
+		}
 	}
 }
 

@@ -9,7 +9,6 @@ package baseline
 
 import (
 	"fmt"
-	"math/rand"
 
 	"gpunoc/internal/config"
 	"gpunoc/internal/core"
@@ -31,11 +30,9 @@ type Result struct {
 // commonState carries the timing parameters shared by a baseline
 // sender/receiver pair.
 type commonState struct {
-	slot   uint64
-	sync   uint64
-	bits   []core.Symbol
-	jitter int
-	rng    *rand.Rand
+	slot uint64
+	sync uint64
+	bits []core.Symbol
 }
 
 // baseProg is the shared slot/sync scaffolding of the baseline programs.
@@ -67,7 +64,6 @@ func (b *baseProg) slotWait(clock uint64) device.Op {
 type PrimeProbeParams struct {
 	Bits       []core.Symbol
 	SlotCycles uint64
-	Seed       int64
 }
 
 // l1Sender evicts the receiver's primed L1 set to transmit '1'. Sender and
@@ -215,9 +211,6 @@ func RunPrimeProbe(cfg *config.Config, p PrimeProbeParams) (Result, error) {
 	if p.SlotCycles == 0 {
 		p.SlotCycles = 3000
 	}
-	if p.Seed == 0 {
-		p.Seed = 1
-	}
 	g, err := engine.New(*cfg)
 	if err != nil {
 		return Result{}, err
@@ -276,7 +269,6 @@ type AtomicParams struct {
 	Bits          []core.Symbol
 	SlotCycles    uint64
 	AtomicsPerBit int
-	Seed          int64
 }
 
 // atomicSender hammers a shared line with atomics to transmit '1'. Several
@@ -412,9 +404,6 @@ func RunAtomic(cfg *config.Config, p AtomicParams) (Result, error) {
 	}
 	if p.AtomicsPerBit == 0 {
 		p.AtomicsPerBit = 6
-	}
-	if p.Seed == 0 {
-		p.Seed = 1
 	}
 	g, err := engine.New(*cfg)
 	if err != nil {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"gpunoc/internal/config"
@@ -195,7 +194,7 @@ func (tr *Transmission) build(send, recv kernelSide, write bool) {
 		WarpsPerBlock: pp.SenderWarps,
 		New: func(b, w int) device.Program {
 			return &senderProgram{
-				p: &tr.params,
+				clock: newSlotClock(&tr.params, send.phase, pp.Seed^int64(b*64+w+1)*2654435761),
 				chunk: func(smid int) []Symbol {
 					if ci := send.chunk(smid); ci >= 0 {
 						return tr.chunks[ci]
@@ -203,11 +202,9 @@ func (tr *Transmission) build(send, recv kernelSide, write bool) {
 					return nil
 				},
 				window: send.window,
-				phase:  send.phase,
 				write:  write,
 				lineB:  cfg.L2LineBytes,
 				simt:   cfg.SIMTWidth,
-				rng:    rand.New(rand.NewSource(pp.Seed ^ int64(b*64+w+1)*2654435761)),
 			}
 		},
 	}
@@ -218,54 +215,49 @@ func (tr *Transmission) build(send, recv kernelSide, write bool) {
 		WarpsPerBlock: 1,
 		New: func(b, w int) device.Program {
 			r := &receiverProgram{
-				p:      &tr.params,
+				clock:  newSlotClock(&tr.params, recv.phase, pp.Seed^int64(b+7)*40503),
 				window: recv.window,
-				phase:  recv.phase,
 				lineB:  cfg.L2LineBytes,
 				simt:   cfg.SIMTWidth,
-				rng:    rand.New(rand.NewSource(pp.Seed ^ int64(b+7)*40503)),
 			}
-			r.active = func(smid int) bool {
+			r.listen = func(smid int) (int, bool) {
 				ci := recv.chunk(smid)
 				if ci < 0 {
-					return false
+					return 0, false
 				}
-				r.count = len(tr.chunks[ci]) + tr.params.ResyncGuardSlots
 				tr.receivers[ci] = r
-				return true
+				return len(tr.chunks[ci]) + tr.params.ResyncGuardSlots, true
 			}
 			return r
 		},
 	}
 }
 
-// Params returns the fully-defaulted parameters in effect.
-func (tr *Transmission) Params() Params { return tr.params }
-
 // Run executes the transmission on a fresh GPU built from the
-// transmission's config and returns the decoded result.
-func (tr *Transmission) Run() (Result, error) {
+// transmission's config, with any co kernels launched alongside it, and
+// returns the decoded result.
+func (tr *Transmission) Run(co ...device.KernelSpec) (Result, error) {
 	g, err := engine.New(*tr.cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	return tr.RunOn(g, 0)
-}
-
-// RunOn executes the transmission on an existing GPU, launching the receiver
-// launchSkew cycles after the sender (0 = back-to-back, the cudaStream case;
-// large skews model the MPS cross-process launch of §2.2).
-func (tr *Transmission) RunOn(g *engine.GPU, launchSkew uint64) (Result, error) {
-	if err := tr.Launch(g, launchSkew); err != nil {
+	if err := tr.Launch(g, 0); err != nil {
 		return Result{}, err
+	}
+	for _, k := range co {
+		if _, err := g.Launch(k); err != nil {
+			return Result{}, err
+		}
 	}
 	return tr.Finish(g)
 }
 
 // Launch preloads every SM's probe window and places the sender and
-// receiver kernels on g without running the simulation, so callers can
-// co-schedule additional kernels (for example the §5 third-kernel noise
-// study) before Finish.
+// receiver kernels on g without running the simulation, launching the
+// receiver launchSkew cycles after the sender (0 = back-to-back, the
+// cudaStream case; large skews model the MPS cross-process launch of §2.2).
+// Callers can co-schedule additional kernels (for example the §5
+// third-kernel noise study) before Finish.
 func (tr *Transmission) Launch(g *engine.GPU, launchSkew uint64) error {
 	g.Preload(0, uint64(tr.cfg.NumSMs())*windowSpan)
 	if _, err := g.Launch(tr.senderSpec); err != nil {
@@ -277,15 +269,9 @@ func (tr *Transmission) Launch(g *engine.GPU, launchSkew uint64) error {
 	return nil
 }
 
-// KernelRunner runs every launched kernel to completion within a cycle
-// budget: an *engine.GPU or a *mesh.Mesh.
-type KernelRunner interface {
-	RunKernels(budget uint64) error
-}
-
 // Finish runs every kernel launched on r to completion and decodes the
 // transmission.
-func (tr *Transmission) Finish(r KernelRunner) (Result, error) {
+func (tr *Transmission) Finish(r engine.KernelRunner) (Result, error) {
 	symbols := 0
 	for _, c := range tr.chunks {
 		symbols += len(c) + tr.params.ResyncGuardSlots
@@ -319,7 +305,7 @@ func (tr *Transmission) decode() (Result, error) {
 		res.Pairs = append(res.Pairs, pr)
 		res.SymbolsSent += len(chunk)
 		res.SymbolErrors += pr.Errors
-		if d := r.LastOp - r.FirstOp; d > span {
+		if d := r.clock.last - r.clock.first; d > span {
 			span = d
 		}
 	}
@@ -350,19 +336,7 @@ func Calibrate(cfg *config.Config, p Params, preambleSlots int, co ...device.Ker
 		if err != nil {
 			return Result{}, err
 		}
-		g, err := engine.New(*cfg)
-		if err != nil {
-			return Result{}, err
-		}
-		if err := tr.Launch(g, 0); err != nil {
-			return Result{}, err
-		}
-		for _, k := range co {
-			if _, err := g.Launch(k); err != nil {
-				return Result{}, err
-			}
-		}
-		return tr.Finish(g)
+		return tr.Run(co...)
 	})
 }
 
@@ -387,10 +361,9 @@ func calibrate(p Params, preambleSlots int, transmit func(cal Params, payload []
 	if err != nil {
 		return p, err
 	}
-	// Return the fully-defaulted parameters (slot, moduli, warps) with the
+	// Return the fully-defaulted parameters (slot, warps) with the
 	// measured thresholds, so callers can rely on every derived field.
 	p2.Thresholds = ths
-	p2.Threshold = ths[0]
 	return p2, nil
 }
 

@@ -281,7 +281,7 @@ func TestMoreIterationsFewerErrors(t *testing.T) {
 func TestCoalescedSenderBreaksChannel(t *testing.T) {
 	cfg := fastCfg()
 	p, err := Params{Kind: TPCChannel, Iterations: 4, SyncPeriod: 16, Seed: 5,
-		SenderCoalesced: true, Threshold: 200}.withDefaults()
+		SenderCoalesced: true, Thresholds: []float64{200}}.withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,11 +363,14 @@ func TestLaunchSkewTolerated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := newGPUForTest(cfg)
+	g, err := engine.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := tr.RunOn(g, 5000) // well within the 32768 init window
+	if err := tr.Launch(g, 5000); err != nil { // well within the 1<<16 init window
+		t.Fatal(err)
+	}
+	res, err := tr.Finish(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +394,7 @@ func TestQuickTransmissionDeterministic(t *testing.T) {
 	cfg := fastCfg()
 	f := func(seedRaw uint8) bool {
 		p := Params{Kind: TPCChannel, Iterations: 2, SyncPeriod: 8,
-			Seed: int64(seedRaw) + 1, Threshold: 205}
+			Seed: int64(seedRaw) + 1, Thresholds: []float64{205}}
 		run := func() Result {
 			tr, err := NewTransmission(&cfg, AlternatingPayload(24, 2), []int{0}, p)
 			if err != nil {
@@ -409,11 +412,6 @@ func TestQuickTransmissionDeterministic(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 5}); err != nil {
 		t.Error(err)
 	}
-}
-
-// newGPUForTest builds a GPU for RunOn tests.
-func newGPUForTest(cfg config.Config) (*engine.GPU, error) {
-	return engine.New(cfg)
 }
 
 // Property: random byte payloads round-trip through the single-TPC channel

@@ -64,27 +64,11 @@ type Params struct {
 	// periodic resync, reproducing the accumulating drift of Fig 9(a).
 	SyncPeriod int
 
-	// SyncModulus is the modulus used by the periodic Synchronization():
-	// both sides busy-wait until clock % SyncModulus == 0 ("the lower n
-	// bits of the clock registers are compared against a fixed value",
-	// §4.4). It only needs to exceed the residual divergence between the
-	// two sides, so the default is about two slots — keeping the resync
-	// overhead small. Zero derives the default.
-	SyncModulus uint64
-
-	// InitModulus is the modulus of the one-time initial synchronization,
-	// which must absorb the kernel launch skew. Cooperating MPS processes
-	// coordinate their launches on the CPU (§2.2 reports only a one-time
-	// synchronization overhead), so the skew the GPU sees is bounded;
-	// both kernels land in the same InitModulus window and align on its
-	// boundary. Zero derives a default well above typical launch skew.
-	InitModulus uint64
-
-	// Threshold separates "contended" from "free" mean slot latency for
-	// the 1-bit channel. Use Calibrate to measure it. For multi-level
-	// channels, Thresholds holds the level cut points (len = levels-1)
-	// and Threshold is ignored.
-	Threshold  float64
+	// Thresholds are the mean-slot-latency cut points between adjacent
+	// contention levels (len = levels-1): one threshold separating
+	// "contended" from "free" for the 1-bit channel. Use Calibrate to
+	// measure them. Empty means a placeholder ladder from the channel
+	// kind's default.
 	Thresholds []float64
 
 	// BitsPerSymbol selects 1 (binary, default) or 2 (the 4-level channel
@@ -99,19 +83,6 @@ type Params struct {
 	// (one request per warp) to reproduce the Fig 13 error-rate study.
 	SenderCoalesced   bool
 	ReceiverCoalesced bool
-
-	// SlotJitter is the maximum per-slot scheduling jitter (cycles) each
-	// side experiences before issuing its accesses — the noise source
-	// behind the error-vs-iterations trade-off of Fig 10.
-	SlotJitter int
-
-	// DriftJitter models the wake-up imprecision of the busy-wait loops
-	// that count out each timing slot: every slot ends up to DriftJitter
-	// cycles late, independently on each side. Without periodic clock
-	// resynchronization these drifts random-walk apart and eventually
-	// misalign the slots — the accumulating error of Fig 9(a) that the
-	// Synchronization() of Algorithm 2 resets.
-	DriftJitter int
 
 	// Coding selects the error-correcting code applied over each unit's
 	// Symbol stream before transmission (coding.go). The default,
@@ -193,31 +164,13 @@ func (p Params) withDefaults() (Params, error) {
 	if p.SyncPeriod < 0 {
 		return p, fmt.Errorf("core: negative sync period %d", p.SyncPeriod)
 	}
-	if p.SyncModulus == 0 {
-		p.SyncModulus = nextPow2(2 * p.SlotCycles)
-	}
-	if p.InitModulus == 0 {
-		p.InitModulus = p.SyncModulus
-		if p.InitModulus < 1<<16 {
-			p.InitModulus = 1 << 16
-		}
-	}
-	if p.SlotJitter == 0 {
-		p.SlotJitter = 260
-	}
-	if p.DriftJitter == 0 {
-		p.DriftJitter = 48
-	}
-	if p.Threshold == 0 && len(p.Thresholds) == 0 {
-		// A usable default for the calibrated Volta model; experiments
-		// normally run Calibrate instead.
-		p.Threshold = defaultThreshold(p.Kind)
-	}
 	if len(p.Thresholds) == 0 {
-		// Placeholder ladder; Calibrate replaces it with measured
-		// midpoints. Spacing mirrors the graded contention of Fig 14.
+		// A placeholder ladder from a usable default for the calibrated
+		// Volta model; experiments normally run Calibrate instead, which
+		// places measured midpoints. Spacing mirrors the graded contention
+		// of Fig 14.
 		for i := 0; i < p.Levels()-1; i++ {
-			p.Thresholds = append(p.Thresholds, p.Threshold+float64(25*i))
+			p.Thresholds = append(p.Thresholds, defaultThreshold(p.Kind)+float64(25*i))
 		}
 	}
 	if len(p.Thresholds) != p.Levels()-1 {
@@ -288,6 +241,20 @@ func DefaultSlot(k Kind, iterations int) uint64 {
 		return uint64(160 + 360*iterations)
 	}
 }
+
+// syncModulus is the modulus of the periodic Synchronization(): both sides
+// busy-wait until the clock register's residue matches ("the lower n bits
+// of the clock registers are compared against a fixed value", §4.4). It
+// only needs to exceed the residual divergence between the two sides, so
+// about two slots keeps the resync overhead small.
+func (p *Params) syncModulus() uint64 { return nextPow2(2 * p.SlotCycles) }
+
+// initModulus is the modulus of the one-time initial synchronization, which
+// must absorb the kernel launch skew. Cooperating MPS processes coordinate
+// their launches on the CPU (§2.2 reports only a one-time synchronization
+// overhead), so the skew the GPU sees is bounded: both kernels land in the
+// same window of at least 1<<16 cycles and align on its boundary.
+func (p *Params) initModulus() uint64 { return max(p.syncModulus(), 1<<16) }
 
 func nextPow2(v uint64) uint64 {
 	p := uint64(1)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -22,11 +23,11 @@ func TestWithDefaults(t *testing.T) {
 	if p.Iterations != 4 || p.SenderWarps != 5 || p.BitsPerSymbol != 1 {
 		t.Errorf("TPC defaults = %+v", p)
 	}
-	if p.SlotCycles == 0 || p.SyncModulus == 0 || p.InitModulus < p.SyncModulus {
+	if p.SlotCycles == 0 || p.syncModulus() < 2*p.SlotCycles || p.initModulus() < max(p.syncModulus(), 1<<16) {
 		t.Errorf("derived timing wrong: %+v", p)
 	}
-	if p.SyncModulus&(p.SyncModulus-1) != 0 {
-		t.Errorf("sync modulus %d not a power of two", p.SyncModulus)
+	if m := p.syncModulus(); m&(m-1) != 0 {
+		t.Errorf("sync modulus %d not a power of two", m)
 	}
 	g, err := Params{Kind: GPCChannel}.withDefaults()
 	if err != nil {
@@ -142,8 +143,7 @@ func TestQuickDefaultsIdempotent(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return a.SlotCycles == b.SlotCycles && a.SyncModulus == b.SyncModulus &&
-			a.InitModulus == b.InitModulus && a.Threshold == b.Threshold
+		return reflect.DeepEqual(a, b)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

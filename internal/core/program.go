@@ -29,9 +29,22 @@ type addrFunc func(smid int) uint64
 // which both sides reach at the same global cycle.
 type phaseFunc func(smid int) uint64
 
-// Sender/receiver state machine states.
 const (
-	stRole = iota
+	// slotJitter is the most cycles of scheduling jitter a side waits at
+	// each slot start before its accesses — the noise source behind the
+	// error-vs-iterations trade-off of Fig 10.
+	slotJitter = 260
+	// driftJitter is the most cycles the busy-wait that counts out a slot
+	// wakes late, independently on each side. Lateness carries into the
+	// next slot's start, so without periodic resync the two sides
+	// random-walk apart and eventually misalign — the accumulating error
+	// of Fig 9(a) that Algorithm 2's Synchronization() resets.
+	driftJitter = 48
+)
+
+// Slot clock states.
+const (
+	stJoin = iota
 	stInitSync
 	stSlotStart
 	stOps
@@ -39,29 +52,111 @@ const (
 	stResync
 )
 
+// slotRole is what the sender or the receiver adds to the slot clock.
+type slotRole interface {
+	// join runs on the warp's first step, on the SM its block landed on. It
+	// returns the number of slots the warp takes part in, and false when
+	// the warp exits at once (its block only reserved the SM).
+	join(ctx *device.Ctx) (slots int, ok bool)
+	// slotOp returns the next operation of slot i, or false once the
+	// slot's work is done.
+	slotOp(ctx *device.Ctx, i int) (device.Op, bool)
+}
+
+// slotClock is Algorithm 2's timing skeleton, the same for the sender and
+// the receiver: synchronize once on the clock register, then per slot wait
+// a random scheduling jitter, run the role's operations, busy-wait to the
+// slot's end (waking a random drift late), and resynchronize every
+// SyncPeriod slots. Each program draws its jitter and drift from its own
+// RNG: one jitter at every slot start, one drift only when the slot-end
+// wait is needed.
+type slotClock struct {
+	p     *Params
+	phase phaseFunc // nil = phase 0 (on-die channels)
+	rng   *rand.Rand
+
+	ph    uint64
+	slots int
+	state int
+	slot  int    // index of the current slot
+	start uint64 // local clock at the current slot's start
+	first uint64 // local clock at the first slot's start
+	last  uint64 // local clock at the final slot's end
+}
+
+func newSlotClock(p *Params, phase phaseFunc, seed int64) slotClock {
+	return slotClock{p: p, phase: phase, rng: rand.New(rand.NewSource(seed))}
+}
+
+// step advances the clock and returns role's next operation.
+func (c *slotClock) step(ctx *device.Ctx, role slotRole) device.Op {
+	for {
+		switch c.state {
+		case stJoin:
+			slots, ok := role.join(ctx)
+			if !ok {
+				return device.Done()
+			}
+			c.slots = slots
+			if c.phase != nil {
+				c.ph = c.phase(ctx.SMID)
+			}
+			c.state = stInitSync
+			return device.SyncClock(c.p.initModulus(), c.ph)
+
+		case stInitSync:
+			c.start, c.first = ctx.Clock64, ctx.Clock64
+			c.state = stSlotStart
+
+		case stSlotStart:
+			if c.slot >= c.slots {
+				return device.Done()
+			}
+			c.state = stOps
+			if j := c.rng.Intn(slotJitter + 1); j > 0 {
+				return device.Wait(uint64(j))
+			}
+
+		case stOps:
+			if op, ok := role.slotOp(ctx, c.slot); ok {
+				return op
+			}
+			c.state = stSlotEnd
+
+		case stSlotEnd:
+			if end := c.start + c.p.SlotCycles; ctx.Clock64 < end {
+				return device.Wait(end - ctx.Clock64 + uint64(c.rng.Intn(driftJitter+1)))
+			}
+			c.start, c.last = ctx.Clock64, ctx.Clock64
+			c.slot++
+			c.state = stSlotStart
+			if c.slot < c.slots && c.p.SyncPeriod > 0 && c.slot%c.p.SyncPeriod == 0 {
+				c.state = stResync
+				return device.SyncClock(c.p.syncModulus(), c.ph)
+			}
+
+		case stResync:
+			c.start = ctx.Clock64
+			c.state = stSlotStart
+		}
+	}
+}
+
 // senderProgram implements the trojan warp of Algorithm 2: per timing slot
 // it either floods the shared channel with uncoalesced accesses (symbol > 0)
-// or stays silent, re-synchronizing on the clock register every SyncPeriod
-// slots.
+// or stays silent.
 type senderProgram struct {
-	p      *Params
+	clock  slotClock
 	chunk  chunkFunc
 	window addrFunc
-	phase  phaseFunc // nil = phase 0 (on-die channels)
 	write  bool
 	lineB  int
 	simt   int
-	factor int // per-slot op budget factor; 0 = senderOpFactor
-	rng    *rand.Rand
 
-	symbols   []Symbol
-	ph        uint64
-	state     int
-	slotStart uint64 // local clock at current slot start
-	bitIdx    int
-	opIdx     int
-	myOps     int // this warp's share of the per-slot op budget
-	base      uint64
+	symbols []Symbol
+	myOps   int // this warp's share of the per-slot op budget
+	opIdx   int
+	base    uint64
 }
 
 // senderOpFactor scales the sender's per-slot op budget relative to the
@@ -86,100 +181,30 @@ func opShare(total, warps, w int) int {
 }
 
 // Step implements device.Program.
-func (s *senderProgram) Step(ctx *device.Ctx) device.Op {
-	switch s.state {
-	case stRole:
-		s.symbols = s.chunk(ctx.SMID)
-		factor := s.factor
-		if factor == 0 {
-			factor = senderOpFactor
-		}
-		s.myOps = opShare(factor*s.p.Iterations, s.p.SenderWarps, ctx.Warp)
-		if len(s.symbols) == 0 || s.myOps == 0 {
-			return device.Done()
-		}
-		s.base = s.window(ctx.SMID)
-		if s.phase != nil {
-			s.ph = s.phase(ctx.SMID)
-		}
-		s.state = stInitSync
-		return device.SyncClock(s.p.InitModulus, s.ph)
+func (s *senderProgram) Step(ctx *device.Ctx) device.Op { return s.clock.step(ctx, s) }
 
-	case stInitSync:
-		s.slotStart = ctx.Clock64
-		s.state = stSlotStart
-		fallthrough
+func (s *senderProgram) join(ctx *device.Ctx) (int, bool) {
+	p := s.clock.p
+	s.symbols = s.chunk(ctx.SMID)
+	s.myOps = opShare(senderOpFactor*p.Iterations, p.SenderWarps, ctx.Warp)
+	s.base = s.window(ctx.SMID)
+	return len(s.symbols), len(s.symbols) > 0 && s.myOps > 0
+}
 
-	case stSlotStart:
-		if s.bitIdx >= len(s.symbols) {
-			return device.Done()
-		}
-		s.state = stOps
+func (s *senderProgram) slotOp(_ *device.Ctx, i int) (device.Op, bool) {
+	lanes := s.clock.p.LevelLanes(int(s.symbols[i]), s.simt)
+	if lanes == 0 || s.opIdx >= s.myOps {
 		s.opIdx = 0
-		if j := s.jitter(); j > 0 {
-			return device.Wait(j)
-		}
-		fallthrough
-
-	case stOps:
-		lanes := s.p.LevelLanes(int(s.symbols[s.bitIdx]), s.simt)
-		if lanes > 0 && s.opIdx < s.myOps {
-			op, err := warp.PartialOp(s.opAddr(), s.write, s.lineB, lanes, s.simt)
-			if err != nil {
-				panic(err)
-			}
-			s.opIdx++
-			return device.Mem(op)
-		}
-		s.state = stSlotEnd
-		fallthrough
-
-	case stSlotEnd:
-		target := s.slotStart + s.p.SlotCycles
-		if ctx.Clock64 < target {
-			// The busy-wait wakes a few cycles late (DriftJitter);
-			// lateness carries into the next slot's start, so without
-			// periodic resync the two sides random-walk apart (Fig 9a).
-			return device.Wait(target - ctx.Clock64 + s.drift())
-		}
-		s.slotStart = ctx.Clock64
-		s.bitIdx++
-		if s.bitIdx >= len(s.symbols) {
-			return device.Done()
-		}
-		if s.p.SyncPeriod > 0 && s.bitIdx%s.p.SyncPeriod == 0 {
-			s.state = stResync
-			return device.SyncClock(s.p.SyncModulus, s.ph)
-		}
-		s.state = stSlotStart
-		return s.Step(ctx)
-
-	case stResync:
-		s.slotStart = ctx.Clock64
-		s.state = stSlotStart
-		return s.Step(ctx)
+		return device.Op{}, false
 	}
-	return device.Done()
-}
-
-func (s *senderProgram) jitter() uint64 {
-	if s.p.SlotJitter <= 0 {
-		return 0
-	}
-	return uint64(s.rng.Intn(s.p.SlotJitter + 1))
-}
-
-func (s *senderProgram) drift() uint64 {
-	if s.p.DriftJitter <= 0 {
-		return 0
-	}
-	return uint64(s.rng.Intn(s.p.DriftJitter + 1))
-}
-
-func (s *senderProgram) opAddr() uint64 {
 	// Rotate within a small, preloaded, L2-resident window.
-	span := uint64(s.simt * s.lineB)
-	return s.base + uint64(s.opIdx%2)*span
+	addr := s.base + uint64(s.opIdx%2*s.simt*s.lineB)
+	op, err := warp.PartialOp(addr, s.write, s.lineB, lanes, s.simt)
+	if err != nil {
+		panic(err)
+	}
+	s.opIdx++
+	return device.Mem(op), true
 }
 
 // SlotTrace records the receiver's observation for one timing slot.
@@ -197,146 +222,59 @@ type SlotTrace struct {
 // probes the L2 through the shared channel, classifies the mean latency
 // against the thresholds, and records the decoded symbol.
 type receiverProgram struct {
-	p      *Params
-	active func(smid int) bool
+	clock  slotClock
+	listen func(smid int) (slots int, ok bool)
 	window addrFunc
-	phase  phaseFunc // nil = phase 0 (on-die channels)
-	count  int       // symbols to receive
 	lineB  int
 	simt   int
-	rng    *rand.Rand
 
 	// Outputs.
 	Received []Symbol
 	Trace    []SlotTrace
-	FirstOp  uint64 // local clock at first slot start
-	LastOp   uint64 // local clock at final slot end
-	SMID     int
 
-	ph        uint64
-	state     int
-	slotStart uint64
-	bitIdx    int
-	opIdx     int
-	latSum    float64
-	latMax    uint64
-	base      uint64
-	sawFirst  bool
+	opIdx  int
+	latSum float64
+	latMax uint64
+	base   uint64
 }
 
 // Step implements device.Program.
-func (r *receiverProgram) Step(ctx *device.Ctx) device.Op {
-	switch r.state {
-	case stRole:
-		if !r.active(ctx.SMID) {
-			return device.Done()
-		}
-		r.SMID = ctx.SMID
-		r.base = r.window(ctx.SMID)
-		if r.phase != nil {
-			r.ph = r.phase(ctx.SMID)
-		}
-		r.state = stInitSync
-		return device.SyncClock(r.p.InitModulus, r.ph)
+func (r *receiverProgram) Step(ctx *device.Ctx) device.Op { return r.clock.step(ctx, r) }
 
-	case stInitSync:
-		r.slotStart = ctx.Clock64
-		if !r.sawFirst {
-			r.sawFirst = true
-			r.FirstOp = ctx.Clock64
-		}
-		r.state = stSlotStart
-		fallthrough
-
-	case stSlotStart:
-		if r.bitIdx >= r.count {
-			return device.Done()
-		}
-		r.state = stOps
-		r.opIdx = 0
-		r.latSum = 0
-		r.latMax = 0
-		if j := r.jitter(); j > 0 {
-			return device.Wait(j)
-		}
-		fallthrough
-
-	case stOps:
-		if r.opIdx > 0 {
-			// The previous probe completed; LastLatency is its cost.
-			r.latSum += float64(ctx.LastLatency)
-			if ctx.LastLatency > r.latMax {
-				r.latMax = ctx.LastLatency
-			}
-		}
-		if r.opIdx < r.p.Iterations {
-			r.opIdx++
-			return r.probeOp()
-		}
-		r.decodeSlot(ctx)
-		r.state = stSlotEnd
-		fallthrough
-
-	case stSlotEnd:
-		target := r.slotStart + r.p.SlotCycles
-		if ctx.Clock64 < target {
-			return device.Wait(target - ctx.Clock64 + r.drift())
-		}
-		r.slotStart = ctx.Clock64
-		r.LastOp = ctx.Clock64
-		r.bitIdx++
-		if r.bitIdx >= r.count {
-			return device.Done()
-		}
-		if r.p.SyncPeriod > 0 && r.bitIdx%r.p.SyncPeriod == 0 {
-			r.state = stResync
-			return device.SyncClock(r.p.SyncModulus, r.ph)
-		}
-		r.state = stSlotStart
-		return r.Step(ctx)
-
-	case stResync:
-		r.slotStart = ctx.Clock64
-		r.state = stSlotStart
-		return r.Step(ctx)
-	}
-	return device.Done()
+func (r *receiverProgram) join(ctx *device.Ctx) (int, bool) {
+	r.base = r.window(ctx.SMID)
+	return r.listen(ctx.SMID)
 }
 
-func (r *receiverProgram) probeOp() device.Op {
-	span := uint64(r.simt * r.lineB)
-	base := r.base + uint64((r.opIdx-1)%2)*span
-	if r.ReceiverCoalesced() {
-		return device.Mem(warp.CoalescedOp(base, false))
+func (r *receiverProgram) slotOp(ctx *device.Ctx, _ int) (device.Op, bool) {
+	p := r.clock.p
+	if r.opIdx > 0 {
+		// The previous probe completed; LastLatency is its cost.
+		r.latSum += float64(ctx.LastLatency)
+		r.latMax = max(r.latMax, ctx.LastLatency)
 	}
-	return device.Mem(warp.UncoalescedOp(base, false, r.lineB))
+	if r.opIdx >= p.Iterations {
+		r.decodeSlot()
+		r.opIdx, r.latSum, r.latMax = 0, 0, 0
+		return device.Op{}, false
+	}
+	addr := r.base + uint64(r.opIdx%2*r.simt*r.lineB)
+	r.opIdx++
+	if p.ReceiverCoalesced {
+		return device.Mem(warp.CoalescedOp(addr, false)), true
+	}
+	return device.Mem(warp.UncoalescedOp(addr, false, r.lineB)), true
 }
 
-// ReceiverCoalesced reports whether probes are coalesced (Fig 13 study).
-func (r *receiverProgram) ReceiverCoalesced() bool { return r.p.ReceiverCoalesced }
-
-func (r *receiverProgram) decodeSlot(ctx *device.Ctx) {
-	mean := r.latSum / float64(r.p.Iterations)
+func (r *receiverProgram) decodeSlot() {
+	p := r.clock.p
+	mean := r.latSum / float64(p.Iterations)
 	sym := 0
-	for _, th := range r.p.Thresholds {
+	for _, th := range p.Thresholds {
 		if mean > th {
 			sym++
 		}
 	}
 	r.Received = append(r.Received, Symbol(sym))
-	r.Trace = append(r.Trace, SlotTrace{MeanLatency: mean, MaxLatency: r.latMax, Clock: r.slotStart})
-}
-
-func (r *receiverProgram) jitter() uint64 {
-	if r.p.SlotJitter <= 0 {
-		return 0
-	}
-	return uint64(r.rng.Intn(r.p.SlotJitter + 1))
-}
-
-func (r *receiverProgram) drift() uint64 {
-	if r.p.DriftJitter <= 0 {
-		return 0
-	}
-	return uint64(r.rng.Intn(r.p.DriftJitter + 1))
+	r.Trace = append(r.Trace, SlotTrace{MeanLatency: mean, MaxLatency: r.latMax, Clock: r.clock.start})
 }

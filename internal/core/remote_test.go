@@ -116,7 +116,7 @@ func TestNVLinkCalibrationSeparation(t *testing.T) {
 		t.Fatalf("calibrate: %v", err)
 	}
 	hop := float64(cfg.NVLink.WithDefaults().HopLatency)
-	if p.Threshold < 2*hop {
-		t.Errorf("threshold %.1f below the two-hop floor %.1f — remote path not being measured", p.Threshold, 2*hop)
+	if p.Thresholds[0] < 2*hop {
+		t.Errorf("threshold %.1f below the two-hop floor %.1f — remote path not being measured", p.Thresholds[0], 2*hop)
 	}
 }

@@ -304,6 +304,12 @@ func (g *GPU) updateKernels() {
 	}
 }
 
+// KernelRunner runs every launched kernel to completion within a cycle
+// budget: a GPU or an NVLink mesh.
+type KernelRunner interface {
+	RunKernels(budget uint64) error
+}
+
 // Stepper is a simulated system that Run can drive: one GPU or an NVLink
 // mesh of them.
 type Stepper interface {

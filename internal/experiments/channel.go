@@ -5,6 +5,7 @@ import (
 
 	"gpunoc/internal/config"
 	"gpunoc/internal/core"
+	"gpunoc/internal/engine"
 )
 
 // The covert-channel artifacts (§4–§5) register themselves with the
@@ -15,7 +16,7 @@ func init() {
 		Title:   "'0101...' latency trace, slot-only vs slot+synchronization",
 		Section: "§4.2, Figure 9",
 		Run:     Fig9,
-		Check:   func(_ *config.Config, f *Figure) error { return CheckFig9(f, nil) },
+		Check:   func(_ *config.Config, f *Figure) error { return CheckFig9(f) },
 	})
 	MustRegister(Experiment{
 		ID: "fig10", Order: 90,
@@ -149,7 +150,7 @@ func Fig9(cfg *config.Config, opt Options) (*Figure, error) {
 
 // CheckFig9 asserts the Fig 9 contrast: the synchronized run decodes the
 // alternating pattern while the slot-only run accumulates errors.
-func CheckFig9(f *Figure, sentPattern []core.Symbol) error {
+func CheckFig9(f *Figure) error {
 	synced, ok := f.seriesByName("slot + local synchronization")
 	if !ok {
 		return fmt.Errorf("fig9: missing synchronized series")
@@ -485,11 +486,14 @@ func MPSOverhead(cfg *config.Config, opt Options) (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		g, err := newGPU(cfg)
+		g, err := engine.New(*cfg)
 		if err != nil {
 			return nil, err
 		}
-		res, err := tr.RunOn(g, skew)
+		if err := tr.Launch(g, skew); err != nil {
+			return nil, err
+		}
+		res, err := tr.Finish(g)
 		if err != nil {
 			return nil, err
 		}

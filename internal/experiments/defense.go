@@ -11,8 +11,6 @@ import (
 	"gpunoc/internal/stats"
 )
 
-func newGPU(cfg *config.Config) (*engine.GPU, error) { return engine.New(*cfg) }
-
 // The countermeasure artifacts (§6) register themselves with the experiment
 // registry.
 func init() {

@@ -99,7 +99,7 @@ func TestFig9ShapeHolds(t *testing.T) {
 	if !ok || len(synced.Y) != 120 {
 		t.Fatalf("trace has %d slots", len(synced.Y))
 	}
-	if err := CheckFig9(f, nil); err != nil {
+	if err := CheckFig9(f); err != nil {
 		t.Error(err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"gpunoc/internal/config"
 	"gpunoc/internal/core"
-	"gpunoc/internal/engine"
 	"gpunoc/internal/noise"
 )
 
@@ -73,23 +72,11 @@ func noisySend(cfg *config.Config, payload []core.Symbol, p core.Params, specs .
 	if err != nil {
 		return core.Result{}, err
 	}
-	g, err := engine.New(*cfg)
-	if err != nil {
-		return core.Result{}, err
-	}
-	if err := tr.Launch(g, 0); err != nil {
-		return core.Result{}, err
-	}
 	ks, err := noise.Kernels(cfg, specs...)
 	if err != nil {
 		return core.Result{}, err
 	}
-	for _, k := range ks {
-		if _, err := g.Launch(k); err != nil {
-			return core.Result{}, err
-		}
-	}
-	return tr.Finish(g)
+	return tr.Run(ks...)
 }
 
 // NoiseSweep sweeps the intensity of a streaming co-runner placed across the

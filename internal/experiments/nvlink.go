@@ -213,7 +213,7 @@ func NVLinkChannelXfer(cfg *config.Config, opt Options) (*Figure, error) {
 	f.addSeries("error rate", []float64{0}, []float64{res.ErrorRate})
 	f.addSeries("bitrate (kbps)", []float64{0}, []float64{res.BitsPerSecond / 1e3})
 	f.note("cross-GPU channel: %.2f kbps at %.3f error over %d symbols (threshold %.1f)",
-		res.BitsPerSecond/1e3, res.ErrorRate, res.SymbolsSent, p.Threshold)
+		res.BitsPerSecond/1e3, res.ErrorRate, res.SymbolsSent, p.Thresholds[0])
 	return f, nil
 }
 

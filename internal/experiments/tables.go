@@ -120,7 +120,7 @@ func Table2(cfg *config.Config, opt Options) (*Figure, []Table2Row, error) {
 	}
 
 	// Prior-work baselines (Naghibijouybari et al. [42] analogues).
-	pp, err := baseline.RunPrimeProbe(cfg, baseline.PrimeProbeParams{Bits: payload, Seed: opt.seed()})
+	pp, err := baseline.RunPrimeProbe(cfg, baseline.PrimeProbeParams{Bits: payload})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -128,7 +128,7 @@ func Table2(cfg *config.Config, opt Options) (*Figure, []Table2Row, error) {
 		Parallel: false, Local: true, Direct: false,
 		ErrorRate: pp.ErrorRate, Kbps: pp.BitsPerSecond / 1e3})
 
-	at, err := baseline.RunAtomic(cfg, baseline.AtomicParams{Bits: payload, Seed: opt.seed()})
+	at, err := baseline.RunAtomic(cfg, baseline.AtomicParams{Bits: payload})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -85,17 +85,11 @@ func NewBench(cfg *config.Config, acts []Activation, lay Layout) (*Bench, error)
 	return b, nil
 }
 
-// KernelRunner runs every launched kernel to completion within a cycle
-// budget: an *engine.GPU or an NVLink mesh.
-type KernelRunner interface {
-	RunKernels(budget uint64) error
-}
-
 // Run preloads the windows into mem's L2, launches the kernel on dev, runs r
 // until every launched kernel has finished, and returns each activated SM's
 // time in cycles: that of its slowest warp. On one GPU, dev, mem and r are
 // the same device.
-func (b *Bench) Run(dev, mem *engine.GPU, r KernelRunner) (map[int]uint64, error) {
+func (b *Bench) Run(dev, mem *engine.GPU, r engine.KernelRunner) (map[int]uint64, error) {
 	mem.Preload(b.base, b.bytes)
 	if _, err := dev.Launch(b.Spec); err != nil {
 		return nil, err
