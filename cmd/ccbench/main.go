@@ -2,10 +2,14 @@
 // simulated GPU and prints them as a plain-text report. It is the
 // command-line face of the internal/experiments harness: experiments come
 // from the package registry (every Fig*/Table* registers itself), and a
-// bounded worker pool runs them concurrently — each experiment owns its
-// engine instances, so the suite parallelizes across experiments. Per-
-// experiment seeds are derived from the suite seed and the experiment id,
-// which makes the report byte-identical at any -parallel setting.
+// bounded worker pool runs -parallel of them at a time — each experiment
+// owns its engine instances, so the suite parallelizes across experiments.
+// The five sweep experiments (fig10, noise, noise-sweep, coded-vs-uncoded,
+// detector-roc) also run their independent transmissions side by side on up
+// to GOMAXPROCS goroutines, except under -metrics or -telemetry, where they
+// run in order because the observer files depend on it. Per-experiment
+// seeds are derived from the suite seed and the experiment id, which makes
+// the report byte-identical at any -parallel setting.
 //
 // Usage:
 //
@@ -110,7 +114,7 @@ func main() {
 	metricsDir := flag.String("metrics", "", "directory to write per-experiment probe metrics (JSON+CSV) into (created if missing)")
 	telemetryDir := flag.String("telemetry", "", "directory to write per-experiment telemetry window/event JSONL streams into (created if missing)")
 	cacheDir := flag.String("cache-dir", "", "directory for the content-addressed result cache; repeated runs with the same key are served from it without simulating")
-	parallel := flag.Int("parallel", 0, "experiments to run concurrently (0 = GOMAXPROCS)")
+	parallel := flag.Int("parallel", 0, "experiments to run concurrently (0 = GOMAXPROCS); the five sweeps also fan out their own transmissions unless -metrics or -telemetry is set")
 	gpus := flag.Int("gpus", 0, "GPUs per simulated mesh for the cross-GPU experiments (0 = their default of 2)")
 	topology := flag.String("topology", "", "NVLink mesh topology: full, ring, or nvswitch (empty = config default)")
 	check := flag.Bool("check", false, "also assert each experiment's paper-shape Check")

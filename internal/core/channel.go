@@ -305,8 +305,10 @@ func (tr *Transmission) decode() (Result, error) {
 		res.Pairs = append(res.Pairs, pr)
 		res.SymbolsSent += len(chunk)
 		res.SymbolErrors += pr.Errors
-		if d := r.clock.last - r.clock.first; d > span {
-			span = d
+		// A receiver whose unit carries no symbols completes no slot and
+		// has no span.
+		if r.clock.slot > 0 {
+			span = max(span, r.clock.last-r.clock.first)
 		}
 	}
 	if res.SymbolsSent > 0 {

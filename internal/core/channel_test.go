@@ -474,3 +474,27 @@ func TestResultAccounting(t *testing.T) {
 		t.Error("missing throughput accounting")
 	}
 }
+
+// TestIdleUnitsHaveNoSpan: a payload shorter than the unit count leaves
+// some receivers without symbols. They sync once and exit without
+// completing a slot, so they must not count toward the transmission's span
+// (their last slot clock is 0, and counting them wrapped the span around).
+func TestIdleUnitsHaveNoSpan(t *testing.T) {
+	cfg := fastCfg()
+	p := Params{Kind: TPCChannel, Iterations: 4, SyncPeriod: 16, Seed: 3, Thresholds: []float64{205}}
+	tr, err := NewTransmission(&cfg, AlternatingPayload(2, 2), nil, p) // 2 symbols, 4 TPCs
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := tr.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	slot := DefaultSlot(TPCChannel, 4)
+	if res.Cycles == 0 || res.Cycles > 2*slot {
+		t.Errorf("span %d cycles for one slot per active unit, want (0, %d]", res.Cycles, 2*slot)
+	}
+	if want := cfg.BitsPerSecond(res.BitsSent, res.Cycles); res.BitsPerSecond != want || want < 1e5 {
+		t.Errorf("BitsPerSecond %g over a %d-cycle span", res.BitsPerSecond, res.Cycles)
+	}
+}

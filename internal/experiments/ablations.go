@@ -136,8 +136,7 @@ func NoiseExperiment(cfg *config.Config, opt Options) (*Figure, error) {
 		}
 	}
 
-	var xs, ys []float64
-	for i, mode := range []struct {
+	modes := []struct {
 		name  string
 		noise bool
 		inGPC bool
@@ -145,28 +144,38 @@ func NoiseExperiment(cfg *config.Config, opt Options) (*Figure, error) {
 		{"none", false, false},
 		{"streaming, other GPCs only", true, false},
 		{"streaming, receiver's GPC", true, true},
-	} {
+	}
+	results, err := fanOut(cfg, len(modes), func(i int) (core.Result, error) {
+		mode := modes[i]
 		tr, err := core.NewTransmission(cfg, payload, []int{0}, p)
 		if err != nil {
-			return nil, err
+			return core.Result{}, err
 		}
 		g, err := engine.New(*cfg)
 		if err != nil {
-			return nil, err
+			return core.Result{}, err
 		}
 		if err := tr.Launch(g, 0); err != nil {
-			return nil, err
+			return core.Result{}, err
 		}
 		if mode.noise {
 			g.Preload(noiseBase, uint64(cfg.NumSMs()*6)*noiseWS)
 			if _, err := g.Launch(mkNoise(mode.inGPC)); err != nil {
-				return nil, err
+				return core.Result{}, err
 			}
 		}
 		res, err := tr.Finish(g)
 		if err != nil {
-			return nil, fmt.Errorf("noise run (%s): %w", mode.name, err)
+			return res, fmt.Errorf("noise run (%s): %w", mode.name, err)
 		}
+		return res, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var xs, ys []float64
+	for i, mode := range modes {
+		res := results[i]
 		xs = append(xs, float64(i))
 		ys = append(ys, res.ErrorRate)
 		f.Rows = append(f.Rows, []string{

@@ -183,35 +183,33 @@ type Fig10Point struct {
 	ErrorRate  float64
 }
 
-// fig10Variant runs one channel variant across the iteration sweep.
-func fig10Variant(cfg *config.Config, kind core.Kind, units []int, bitsTotal int, seed int64) ([]Fig10Point, error) {
-	var out []Fig10Point
-	for iters := 1; iters <= 5; iters++ {
-		p, err := calibratedParams(cfg, kind, iters, 1, seed)
-		if err != nil {
-			return nil, err
-		}
-		payload := core.AlternatingPayload(bitsTotal, 2)
-		tr, err := core.NewTransmission(cfg, payload, units, p)
-		if err != nil {
-			return nil, err
-		}
-		res, err := tr.Run()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Fig10Point{
-			Iterations: iters,
-			Kbps:       res.BitsPerSecond / 1e3,
-			ErrorRate:  res.ErrorRate,
-		})
+// fig10Point recalibrates one channel variant at the given iteration count
+// (§4.4) and transmits an alternating payload over it.
+func fig10Point(cfg *config.Config, kind core.Kind, units []int, bitsTotal, iters int, seed int64) (Fig10Point, error) {
+	p, err := calibratedParams(cfg, kind, iters, 1, seed)
+	if err != nil {
+		return Fig10Point{}, err
 	}
-	return out, nil
+	tr, err := core.NewTransmission(cfg, core.AlternatingPayload(bitsTotal, 2), units, p)
+	if err != nil {
+		return Fig10Point{}, err
+	}
+	res, err := tr.Run()
+	if err != nil {
+		return Fig10Point{}, err
+	}
+	return Fig10Point{
+		Iterations: iters,
+		Kbps:       res.BitsPerSecond / 1e3,
+		ErrorRate:  res.ErrorRate,
+	}, nil
 }
 
 // Fig10 regenerates Figure 10: bitrate and error rate versus the number of
 // iterations for (a) a single TPC channel, (b) the multi-TPC channel across
-// all TPCs, (c) a single GPC channel and (d) the multi-GPC channel.
+// all TPCs, (c) a single GPC channel and (d) the multi-GPC channel. Each
+// (variant, iterations) point is its own calibration and transmission, so
+// the 20 points fan out.
 func Fig10(cfg *config.Config, opt Options) (*Figure, error) {
 	f := &Figure{
 		ID:     "fig10",
@@ -231,13 +229,21 @@ func Fig10(cfg *config.Config, opt Options) (*Figure, error) {
 		{"GPC", core.GPCChannel, []int{0}, perUnit},
 		{"multi-GPC", core.GPCChannel, nil, perUnit * cfg.NumGPCs},
 	}
-	for _, v := range variants {
-		points, err := fig10Variant(cfg, v.kind, v.units, v.bits, opt.seed())
+	const sweep = 5 // iterations 1..5
+	points, err := fanOut(cfg, len(variants)*sweep, func(i int) (Fig10Point, error) {
+		v := variants[i/sweep]
+		pt, err := fig10Point(cfg, v.kind, v.units, v.bits, i%sweep+1, opt.seed())
 		if err != nil {
-			return nil, fmt.Errorf("fig10 %s: %w", v.name, err)
+			return pt, fmt.Errorf("fig10 %s: %w", v.name, err)
 		}
+		return pt, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for vi, v := range variants {
 		var xs, rate, errs []float64
-		for _, p := range points {
+		for _, p := range points[vi*sweep : (vi+1)*sweep] {
 			xs = append(xs, float64(p.Iterations))
 			rate = append(rate, p.Kbps)
 			errs = append(errs, p.ErrorRate)

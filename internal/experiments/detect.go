@@ -55,34 +55,42 @@ func detectorWindow(slotCycles uint64) uint64 {
 	return w
 }
 
-// attachDetector equips the config copy with a fresh registry, a
-// quarter-slot sampler, a recorder, and an online detector tuned to the
-// given slot period (threshold 0 selects the default). Every engine built
-// from c afterwards feeds the same window stream.
-func attachDetector(c *config.Config, slotCycles uint64, threshold float64) (*telemetry.Recorder, *telemetry.Detector) {
-	w := detectorWindow(slotCycles)
-	rec := &telemetry.Recorder{}
-	det := telemetry.NewDetector(telemetry.DetectorConfig{
+// newDetector returns an online detector tuned to the given slot period
+// and to the windows attachSampler cuts for it (threshold 0 selects the
+// default).
+func newDetector(slotCycles uint64, threshold float64) *telemetry.Detector {
+	return telemetry.NewDetector(telemetry.DetectorConfig{
 		SlotCycles:   slotCycles,
-		WindowCycles: w,
+		WindowCycles: detectorWindow(slotCycles),
 		Threshold:    threshold,
 	})
+}
+
+// attachSampler equips the config copy with a fresh registry and a
+// quarter-slot sampler feeding the given watchers. Every engine built from
+// c afterwards feeds the same window stream.
+func attachSampler(c *config.Config, slotCycles uint64, watchers ...telemetry.Watcher) {
 	c.Probes = probe.NewRegistry()
-	c.Telemetry = telemetry.NewSampler(w, rec, det)
-	return rec, det
+	c.Telemetry = telemetry.NewSampler(detectorWindow(slotCycles), watchers...)
+}
+
+// occRecorder retains, of each window, only what a replayed detector reads:
+// its index, its cycle span and its link occupancies. The counter, gauge and
+// histogram maps are dropped, so a replayed event's Denies reads 0.
+type occRecorder []telemetry.Window
+
+// ObserveWindow appends the window's index, span and occupancies.
+func (r *occRecorder) ObserveWindow(w telemetry.Window) {
+	*r = append(*r, telemetry.Window{Index: w.Index, Start: w.Start, End: w.End, Occ: w.Occ})
 }
 
 // replayDetector replays a recorded window stream through a fresh detector
 // at the given threshold. The detector is pure over the stream, so the
 // replay reproduces what an online detector at that threshold would have
 // emitted — detector-roc scores one simulation at many thresholds this way.
-func replayDetector(rec *telemetry.Recorder, slotCycles uint64, threshold float64) []telemetry.Event {
-	det := telemetry.NewDetector(telemetry.DetectorConfig{
-		SlotCycles:   slotCycles,
-		WindowCycles: detectorWindow(slotCycles),
-		Threshold:    threshold,
-	})
-	for _, w := range rec.Windows() {
+func replayDetector(rec occRecorder, slotCycles uint64, threshold float64) []telemetry.Event {
+	det := newDetector(slotCycles, threshold)
+	for _, w := range rec {
 		det.ObserveWindow(w)
 	}
 	return det.Events()
@@ -138,7 +146,8 @@ func DetectLatency(cfg *config.Config, opt Options) (*Figure, error) {
 			return nil, fmt.Errorf("detect-latency: calibrate at %d iterations: %w", it, err)
 		}
 		c := *cfg
-		_, det := attachDetector(&c, p.SlotCycles, 0)
+		det := newDetector(p.SlotCycles, 0)
+		attachSampler(&c, p.SlotCycles, det)
 		res, err := noisySend(&c, payload, p)
 		if err != nil {
 			return nil, fmt.Errorf("detect-latency: send at %d iterations: %w", it, err)
@@ -240,23 +249,37 @@ func DetectorROC(cfg *config.Config, opt Options) (*Figure, error) {
 	bits := opt.pick(48, 96)
 	payload := core.AlternatingPayload(bits, 2)
 
-	var chanRecs, noiseRecs []*telemetry.Recorder
-	for _, in := range rocIntensities() {
-		spec := rocSpec(cfg, in, len(payload), p.SlotCycles, opt.seed())
-
+	intensities := rocIntensities()
+	specs := make([]noise.Spec, len(intensities))
+	for i, in := range intensities {
+		specs[i] = rocSpec(cfg, in, len(payload), p.SlotCycles, opt.seed())
+	}
+	// Two runs per intensity, each recording its own window stream: the
+	// channel under the noise, then the noise alone.
+	recs, err := fanOut(cfg, 2*len(intensities), func(i int) (occRecorder, error) {
 		c := *cfg
-		rec, _ := attachDetector(&c, p.SlotCycles, 0)
-		if _, err := noisySend(&c, payload, p, spec); err != nil {
-			return nil, fmt.Errorf("detector-roc: channel at intensity %.2f: %w", in, err)
-		}
-		chanRecs = append(chanRecs, rec)
-
-		n := *cfg
-		recN, _ := attachDetector(&n, p.SlotCycles, 0)
-		if err := noiseOnlyRun(&n, spec); err != nil {
+		var rec occRecorder
+		attachSampler(&c, p.SlotCycles, &rec)
+		in, spec := intensities[i/2], specs[i/2]
+		if i%2 == 0 {
+			if _, err := noisySend(&c, payload, p, spec); err != nil {
+				return nil, fmt.Errorf("detector-roc: channel at intensity %.2f: %w", in, err)
+			}
+		} else if err := noiseOnlyRun(&c, spec); err != nil {
 			return nil, fmt.Errorf("detector-roc: noise-only at intensity %.2f: %w", in, err)
 		}
-		noiseRecs = append(noiseRecs, recN)
+		return rec, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var chanRecs, noiseRecs []occRecorder
+	for i, rec := range recs {
+		if i%2 == 0 {
+			chanRecs = append(chanRecs, rec)
+		} else {
+			noiseRecs = append(noiseRecs, rec)
+		}
 	}
 
 	var tps, fps []float64
@@ -292,10 +315,10 @@ func DetectorROC(cfg *config.Config, opt Options) (*Figure, error) {
 		}
 		frames = append(frames, float64(evs[0].SinceActive)/frame)
 	}
-	f.addSeries("frames to detection (default threshold)", rocIntensities(), frames)
+	f.addSeries("frames to detection (default threshold)", intensities, frames)
 	f.note("TP counts noisy paper-rate transmissions detected (of %d); FP counts "+
 		"events fired by noise-only runs at the same intensities; earliness is "+
-		"first-event latency in %d-slot sync frames", len(rocIntensities()), p.SyncPeriod)
+		"first-event latency in %d-slot sync frames", len(intensities), p.SyncPeriod)
 	f.note("background is the Random-gap co-runner: a fixed-gap Stream co-runner " +
 		"is itself periodic at slot scale and the detector legitimately flags it, " +
 		"so the false-positive null must be aperiodic")

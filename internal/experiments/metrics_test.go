@@ -69,21 +69,35 @@ func TestMetricsOffLeavesResultsUntouched(t *testing.T) {
 }
 
 // TestMetricsDoNotPerturbFigures: the figure an experiment produces must be
-// identical with and without instrumentation attached.
+// identical with and without instrumentation attached. fig10 and
+// noise-sweep fan their transmissions out (fanOut): with a registry they
+// run one at a time in order, without one side by side, so for them this
+// also compares the two paths.
 func TestMetricsDoNotPerturbFigures(t *testing.T) {
 	cfg := config.Small()
-	render := func(metrics bool) string {
+	ids := []string{"fig2"}
+	if !testing.Short() {
+		ids = append(ids, "fig10", "noise-sweep")
+	}
+	render := func(metrics bool) []string {
 		r := Runner{Parallel: 1, Options: Options{Scale: Quick, Seed: 7, Metrics: metrics}}
-		results, err := r.Run(&cfg, []string{"fig2"})
+		results, err := r.Run(&cfg, ids)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if results[0].Err != nil {
-			t.Fatal(results[0].Err)
+		var out []string
+		for _, res := range results {
+			if res.Err != nil {
+				t.Fatalf("%s: %v", res.Experiment.ID, res.Err)
+			}
+			out = append(out, res.Figure.Render())
 		}
-		return results[0].Figure.Render()
+		return out
 	}
-	if with, without := render(true), render(false); with != without {
-		t.Errorf("instrumentation changed the figure:\nwith:\n%s\nwithout:\n%s", with, without)
+	with, without := render(true), render(false)
+	for i, id := range ids {
+		if with[i] != without[i] {
+			t.Errorf("instrumentation changed %s:\nwith:\n%s\nwithout:\n%s", id, with[i], without[i])
+		}
 	}
 }

@@ -114,18 +114,31 @@ func NoiseSweep(cfg *config.Config, opt Options) (*Figure, error) {
 		intensities = []float64{0, 0.01, 0.02, 0.05, 0.1, 0.15, 0.2}
 	}
 	payload := core.AlternatingPayload(bits, 2)
-	for _, kind := range []core.Kind{core.TPCChannel, core.GPCChannel} {
+	kinds := []core.Kind{core.TPCChannel, core.GPCChannel}
+	// Each kind calibrates and then sends at every intensity; the sends
+	// depend on the calibration, so the intensities fan out inside it.
+	sweeps, err := fanOut(cfg, len(kinds), func(k int) ([]core.Result, error) {
+		kind := kinds[k]
 		p, err := calibratedParams(cfg, kind, 4, 1, opt.seed())
 		if err != nil {
 			return nil, fmt.Errorf("noise-sweep: calibrate %v: %w", kind, err)
 		}
-		var xs, ys []float64
-		for _, in := range intensities {
-			spec := noiseSpec(cfg, in, len(payload), p.SlotCycles, opt.seed())
+		return fanOut(cfg, len(intensities), func(i int) (core.Result, error) {
+			spec := noiseSpec(cfg, intensities[i], len(payload), p.SlotCycles, opt.seed())
 			res, err := noisySend(cfg, payload, p, spec)
 			if err != nil {
-				return nil, fmt.Errorf("noise-sweep: %v at %.2f: %w", kind, in, err)
+				return res, fmt.Errorf("noise-sweep: %v at %.2f: %w", kind, intensities[i], err)
 			}
+			return res, nil
+		})
+	})
+	if err != nil {
+		return nil, err
+	}
+	for k, kind := range kinds {
+		var xs, ys []float64
+		for i, res := range sweeps[k] {
+			in := intensities[i]
 			xs = append(xs, in)
 			ys = append(ys, res.ErrorRate)
 			f.Rows = append(f.Rows, []string{
@@ -226,13 +239,21 @@ func CodedVsUncoded(cfg *config.Config, opt Options) (*Figure, error) {
 		{"repetition x3, noise-aware", withCoding(aware, core.CodingRepetition, 0, 0)},
 		{"hamming(7,4)+preamble, noise-aware", withCoding(aware, core.CodingHamming74, 16, 2)},
 	}
-	var xs, errRates, rates []float64
-	for i, sc := range schemes {
+	results, err := fanOut(cfg, len(schemes), func(i int) (core.Result, error) {
+		sc := schemes[i]
 		spec := noiseSpec(cfg, intensity, sc.params.WireLen(len(payload)), sc.params.SlotCycles, opt.seed())
 		res, err := noisySend(cfg, payload, sc.params, spec)
 		if err != nil {
-			return nil, fmt.Errorf("coded-vs-uncoded: %s: %w", sc.name, err)
+			return res, fmt.Errorf("coded-vs-uncoded: %s: %w", sc.name, err)
 		}
+		return res, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var xs, errRates, rates []float64
+	for i, sc := range schemes {
+		res := results[i]
 		xs = append(xs, float64(i))
 		errRates = append(errRates, res.ErrorRate)
 		rates = append(rates, res.BitsPerSecond/1e3)

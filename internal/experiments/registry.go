@@ -33,7 +33,10 @@ type Experiment struct {
 	Order int
 	// Run regenerates the artifact. It must be a pure function of
 	// (cfg, opt): no package-level mutable state, so registered
-	// experiments may run concurrently on distinct Config values.
+	// experiments may run concurrently on distinct Config values. Run may
+	// itself build engines from cfg on several goroutines (the sweeps do,
+	// through fanOut) when cfg carries no probe registry or telemetry
+	// sampler; with one it builds them one at a time on its own goroutine.
 	Run func(cfg *config.Config, opt Options) (*Figure, error)
 	// Check, if non-nil, asserts the qualitative shape the paper reports
 	// (who wins, by what factor). It receives the configuration the

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"gpunoc/internal/config"
+	"gpunoc/internal/core"
 	"gpunoc/internal/telemetry"
 )
 
@@ -94,5 +96,48 @@ func TestTelemetryDoesNotPerturbFigures(t *testing.T) {
 	bare, telemetered := render(false), render(true)
 	if bare != telemetered {
 		t.Errorf("figure changed when telemetry attached:\n%s\nvs\n%s", bare, telemetered)
+	}
+}
+
+// TestOccRecordingReplaysOnlineDetector: detector-roc's recording keeps of
+// each window only its index, span and occupancies, and replaying it
+// through a fresh detector fires the events the online detector fired (all
+// but their Denies, which come from the dropped counters).
+func TestOccRecordingReplaysOnlineDetector(t *testing.T) {
+	cfg := config.Small()
+	p, err := calibratedParams(&cfg, core.TPCChannel, 4, 1, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := cfg
+	var rec occRecorder
+	det := newDetector(p.SlotCycles, 0)
+	attachSampler(&c, p.SlotCycles, &rec, det)
+	if _, err := noisySend(&c, core.AlternatingPayload(48, 2), p); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec) == 0 {
+		t.Fatal("nothing recorded")
+	}
+	occ := 0
+	for _, w := range rec {
+		if w.Counters != nil || w.Gauges != nil || w.Hists != nil {
+			t.Fatalf("window %d kept more than its occupancies: %+v", w.Index, w)
+		}
+		occ += len(w.Occ)
+	}
+	if occ == 0 {
+		t.Fatal("no occupancies recorded")
+	}
+	online := det.Events()
+	if len(online) == 0 {
+		t.Fatal("the online detector fired nothing; the replay would compare nothing")
+	}
+	for i := range online {
+		online[i].Denies = 0
+	}
+	replayed := replayDetector(rec, p.SlotCycles, telemetry.DefaultDetectorThreshold)
+	if !reflect.DeepEqual(replayed, online) {
+		t.Errorf("replay fired %+v\nonline fired %+v", replayed, online)
 	}
 }
