@@ -43,15 +43,13 @@ func (r Result) String() string {
 }
 
 // line is one way of a set, 16 bytes. stamp packs the LRU timestamp and
-// the dirty bit as tick<<1 | dirty; ticks start at 1, so a zero stamp marks
-// an invalid way, and ticks are unique, so the smallest stamp of a set is
-// its least recently used line.
+// the dirty bit as tick<<1 | dirty; ticks are unique, so the smallest stamp
+// of a set is its least recently used line.
 type line struct {
 	tag   uint64
 	stamp uint64
 }
 
-func (l *line) valid() bool { return l.stamp != 0 }
 func (l *line) dirty() bool { return l.stamp&1 != 0 }
 
 // touch records a use at tick, marking the line dirty on a write.
@@ -65,16 +63,16 @@ func (l *line) touch(tick uint64, write bool) {
 // Cache is a blocking-free set-associative cache model. It tracks presence
 // and recency, not data contents (the simulator is timing-only).
 //
-// The valid ways of every set form a prefix: a fill takes the set's first
-// invalid way, and nothing ever invalidates a line, so every scan stops at
-// the first invalid way. The line array itself is allocated on the first
-// Access or Fill; most per-SM L1s never see either, because probe traffic
-// bypasses them.
+// Each set holds only the lines filled into it, in fill order: a fill into
+// a set with a free way appends, and nothing ever invalidates a line, so a
+// set's memory grows with its fills and a full set is exactly ways long.
+// The set table itself is allocated on the first Access or Fill; most
+// per-SM L1s never see either, because probe traffic bypasses them.
 type Cache struct {
 	lineBytes uint64
-	sets      uint64
+	numSets   uint64
 	ways      int
-	lines     []line // sets*ways, row-major by set; nil until first used
+	sets      [][]line // numSets entries, nil until first used
 
 	mshrs   map[uint64]int // line address -> merged request count
 	mshrCap int
@@ -125,7 +123,7 @@ func New(sizeBytes, lineBytes, ways, mshrs int) (*Cache, error) {
 	sets := sizeBytes / (lineBytes * ways)
 	return &Cache{
 		lineBytes: uint64(lineBytes),
-		sets:      uint64(sets),
+		numSets:   uint64(sets),
 		ways:      ways,
 		mshrs:     make(map[uint64]int, mshrs),
 		mshrCap:   mshrs,
@@ -135,30 +133,23 @@ func New(sizeBytes, lineBytes, ways, mshrs int) (*Cache, error) {
 // LineAddr returns the line-aligned address containing addr.
 func (c *Cache) LineAddr(addr uint64) uint64 { return addr &^ (c.lineBytes - 1) }
 
-func (c *Cache) setOf(lineAddr uint64) uint64 { return (lineAddr / c.lineBytes) % c.sets }
-
-// set returns the ways of the set holding lineAddr, allocating the line
-// array on first use.
-func (c *Cache) set(lineAddr uint64) []line {
-	if c.lines == nil {
-		c.lines = make([]line, c.sets*uint64(c.ways))
+// set returns the filled lines of the set holding lineAddr, allocating the
+// set table on first use.
+func (c *Cache) set(lineAddr uint64) *[]line {
+	if c.sets == nil {
+		c.sets = make([][]line, c.numSets)
 	}
-	i := c.setOf(lineAddr) * uint64(c.ways)
-	return c.lines[i : i+uint64(c.ways)]
+	return &c.sets[(lineAddr/c.lineBytes)%c.numSets]
 }
 
-// find returns the way holding lineAddr, or -1. Because valid ways form a
-// prefix, free is the first invalid way (ways when the set is full).
-func find(set []line, lineAddr uint64) (way, free int) {
+// find returns the way holding lineAddr, or -1.
+func find(set []line, lineAddr uint64) int {
 	for w := range set {
-		if !set[w].valid() {
-			return -1, w
-		}
 		if set[w].tag == lineAddr {
-			return w, -1
+			return w
 		}
 	}
-	return -1, len(set)
+	return -1
 }
 
 // Access looks up addr. On a hit the line's recency is updated (and marked
@@ -167,9 +158,9 @@ func find(set []line, lineAddr uint64) (way, free int) {
 // for calling Fill once the memory fetch returns.
 func (c *Cache) Access(addr uint64, write bool) Result {
 	la := c.LineAddr(addr)
-	set := c.set(la)
+	set := *c.set(la)
 	c.useTick++
-	if w, _ := find(set, la); w >= 0 {
+	if w := find(set, la); w >= 0 {
 		set[w].touch(c.useTick, write)
 		c.hits++
 		if c.pr != nil {
@@ -205,12 +196,11 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 // counters (used by tests and the prime+probe baseline channel). A cache
 // that was never filled holds nothing.
 func (c *Cache) Probe(addr uint64) bool {
-	if c.lines == nil {
+	if c.sets == nil {
 		return false
 	}
 	la := c.LineAddr(addr)
-	w, _ := find(c.set(la), la)
-	return w >= 0
+	return find(*c.set(la), la) >= 0
 }
 
 // Fill installs the line for addr (completing its MSHR if one is pending)
@@ -230,28 +220,31 @@ func (c *Cache) Fill(addr uint64, write bool) (waiters int, writeback bool) {
 	}
 	set := c.set(la)
 	c.useTick++
-	w, free := find(set, la)
-	if w >= 0 {
+	if w := find(*set, la); w >= 0 {
 		// Already resident (a racing preload): refresh recency only.
-		set[w].touch(c.useTick, write)
+		(*set)[w].touch(c.useTick, write)
 		return waiters, false
 	}
-	if free == len(set) {
-		// Full set: the least recently used line makes way.
-		free = 0
-		for w := 1; w < len(set); w++ {
-			if set[w].stamp < set[free].stamp {
-				free = w
-			}
-		}
-		c.evictions++
-		if set[free].dirty() {
-			c.writebacks++
-			writeback = true
+	l := line{tag: la}
+	l.touch(c.useTick, write)
+	if len(*set) < c.ways {
+		*set = append(*set, l)
+		return waiters, false
+	}
+	// Full set: the least recently used line makes way.
+	lines := *set
+	victim := 0
+	for w := 1; w < len(lines); w++ {
+		if lines[w].stamp < lines[victim].stamp {
+			victim = w
 		}
 	}
-	set[free] = line{tag: la}
-	set[free].touch(c.useTick, write)
+	c.evictions++
+	if lines[victim].dirty() {
+		c.writebacks++
+		writeback = true
+	}
+	lines[victim] = l
 	return waiters, writeback
 }
 
@@ -259,7 +252,7 @@ func (c *Cache) Fill(addr uint64, write bool) (waiters int, writeback bool) {
 func (c *Cache) PendingMSHRs() int { return len(c.mshrs) }
 
 // Sets returns the number of sets (for the prime+probe baseline).
-func (c *Cache) Sets() int { return int(c.sets) }
+func (c *Cache) Sets() int { return int(c.numSets) }
 
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }

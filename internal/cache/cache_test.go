@@ -162,26 +162,39 @@ func TestFillEvictsOnlyFromFullSet(t *testing.T) {
 	}
 }
 
-// TestLinesAllocatedOnFirstUse pins the lazy line array: a cache that was
-// never accessed or filled holds no lines and probes as empty, and the
-// first fill makes its line resident.
+// TestLinesAllocatedOnFirstUse pins the lazy set table: a cache that was
+// never accessed or filled holds no lines and probes as empty, the first
+// fill makes its line resident, and each set holds only the lines filled
+// into it, never more than its ways.
 func TestLinesAllocatedOnFirstUse(t *testing.T) {
 	c := mk(t, 4096, 32, 4, 8)
 	if c.Probe(0x40) {
 		t.Error("a never-filled cache reported a resident line")
 	}
-	if c.lines != nil {
-		t.Error("Probe allocated the line array")
+	if c.sets != nil {
+		t.Error("Probe allocated the set table")
 	}
 	c.Fill(0x40, false)
 	if !c.Probe(0x40) || c.Probe(0x80) {
 		t.Error("first fill did not install exactly its line")
 	}
+	// 0x40 sits in set 2; every 1 KB (sets*lineBytes) maps back to it.
+	for i, want := range []int{2, 3, 4, 4} {
+		c.Fill(0x40+uint64(i+1)*1024, false)
+		if got := len(c.sets[2]); got != want {
+			t.Errorf("after fill %d set 2 holds %d lines, want %d", i+2, got, want)
+		}
+	}
+	for s, lines := range c.sets {
+		if s != 2 && len(lines) != 0 {
+			t.Errorf("set %d holds %d lines, want none", s, len(lines))
+		}
+	}
 }
 
 // TestLineIs16Bytes pins the packed line: a tag and one stamp word holding
-// the LRU tick and the dirty bit. A preloaded Volta L2 allocates 147,456
-// lines per engine, so every byte here is 147 KB per engine.
+// the LRU tick and the dirty bit. A full Volta L2 holds 147,456 lines per
+// engine, so every byte here is 147 KB per engine.
 func TestLineIs16Bytes(t *testing.T) {
 	if n := unsafe.Sizeof(line{}); n != 16 {
 		t.Errorf("line is %d bytes, want 16", n)

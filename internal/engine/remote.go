@@ -16,6 +16,7 @@ package engine
 import (
 	"fmt"
 
+	"gpunoc/internal/noc"
 	"gpunoc/internal/packet"
 )
 
@@ -25,10 +26,10 @@ type remoteState struct {
 	dev   int                   // this device's id in the mesh
 	owner func(addr uint64) int // device owning each global address
 
-	// gpcOfSM maps an SM id to its GPC so pushRequest can route by the
-	// packet's SrcSM; SMs tick in ascending id order, so each box is in
+	// net supplies each SM's GPC (noc.Network.GPCOfSM) so pushRequest
+	// can route by the packet's SrcSM; SMs tick in ascending id order, so each box is in
 	// ascending-SM issue order.
-	gpcOfSM     []int
+	net         *noc.Network
 	slicesPerMC int
 
 	// Hand-off boxes, drained by DrainRemote with the slices reset to
@@ -53,18 +54,14 @@ func (g *GPU) ConnectRemote(dev int, owner func(addr uint64) int) error {
 		return fmt.Errorf("engine: ConnectRemote must precede all launches and cycles (now %d, %d kernels)",
 			g.now, len(g.kernels))
 	}
-	rmt := &remoteState{
+	g.rmt = &remoteState{
 		dev:         dev,
 		owner:       owner,
+		net:         g.net,
 		slicesPerMC: g.cfg.SlicesPerMC(),
-		gpcOfSM:     make([]int, g.cfg.NumSMs()),
 		reqOut:      make([][]*packet.Packet, g.cfg.NumGPCs),
 		repOut:      make([][]*packet.Packet, g.cfg.NumMCs),
 	}
-	for sm := range rmt.gpcOfSM {
-		rmt.gpcOfSM[sm] = g.cfg.GPCOfSM(sm)
-	}
-	g.rmt = rmt
 	return nil
 }
 
@@ -74,7 +71,7 @@ func (g *GPU) ConnectRemote(dev int, owner func(addr uint64) int) error {
 func (r *remoteState) pushRequest(p *packet.Packet, dst int) {
 	p.SrcDev = r.dev
 	p.DstDev = dst
-	gpc := r.gpcOfSM[p.SrcSM]
+	gpc := r.net.GPCOfSM(p.SrcSM)
 	r.reqOut[gpc] = append(r.reqOut[gpc], p)
 }
 

@@ -406,16 +406,20 @@ func Fig8(cfg *config.Config, opt Options) (*Figure, error) {
 	for _, contender := range []int{1, otherTPC} {
 		var xs, ys []float64
 		for _, frac := range fractions {
-			acts := []reveng.Activation{{SM: 0, Ops: ops, Warps: warps, Write: true}}
+			// Without contender traffic the run is the solo run.
+			t := solo
 			if c := int(frac * float64(ops)); c > 0 {
-				acts = append(acts, reveng.Activation{SM: contender, Ops: c, Warps: warps, Write: true})
-			}
-			times, err := reveng.Measure(cfg, acts, reveng.WarpLayout(0, warps))
-			if err != nil {
-				return nil, err
+				times, err := reveng.Measure(cfg, []reveng.Activation{
+					{SM: 0, Ops: ops, Warps: warps, Write: true},
+					{SM: contender, Ops: c, Warps: warps, Write: true},
+				}, reveng.WarpLayout(0, warps))
+				if err != nil {
+					return nil, err
+				}
+				t = times[0]
 			}
 			xs = append(xs, frac)
-			ys = append(ys, float64(times[0])/float64(solo))
+			ys = append(ys, float64(t)/float64(solo))
 		}
 		f.addSeries(fmt.Sprintf("SM %d", contender), xs, ys)
 	}
@@ -495,22 +499,22 @@ func Fig11(cfg *config.Config, opt Options) (*Figure, error) {
 	} {
 		var xs, ys []float64
 		for _, frac := range fractions {
-			acts := append([]reveng.Activation(nil), refActs...)
+			// Without sender traffic the run is the solo run.
+			refTime := solo
 			if c := int(frac * float64(ops)); c > 0 {
+				acts := append([]reveng.Activation(nil), refActs...)
 				for _, tpc := range series.tpcs {
 					for _, sm := range cfg.SMsOfTPC(tpc) {
 						acts = append(acts, reveng.Activation{SM: sm, Ops: c, Warps: warps, Write: false})
 					}
 				}
-			}
-			times, err := reveng.Measure(cfg, acts, reveng.WarpLayout(0, warps))
-			if err != nil {
-				return nil, err
-			}
-			var refTime uint64
-			for _, sm := range refSMs {
-				if times[sm] > refTime {
-					refTime = times[sm]
+				times, err := reveng.Measure(cfg, acts, reveng.WarpLayout(0, warps))
+				if err != nil {
+					return nil, err
+				}
+				refTime = 0
+				for _, sm := range refSMs {
+					refTime = max(refTime, times[sm])
 				}
 			}
 			xs = append(xs, frac)

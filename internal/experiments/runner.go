@@ -30,7 +30,8 @@ type Result struct {
 	// Figure is the regenerated artifact (nil when Err is set).
 	Figure *Figure
 	// Err is the run error, or the Check failure when the Runner ran in
-	// Check mode.
+	// Check mode. A panic in Run or Check becomes an Err carrying the
+	// panic value.
 	Err error
 	// Wall is the host wall-clock time the experiment took.
 	Wall time.Duration
@@ -171,7 +172,7 @@ func (r *Runner) runOne(cfg *config.Config, e Experiment) Result {
 		if r.Check && e.Check != nil {
 			cc := *cfg
 			cc.Seed = seed
-			if cerr := e.Check(&cc, ent.Figure); cerr != nil {
+			if cerr := recovered(func() error { return e.Check(&cc, ent.Figure) }); cerr != nil {
 				res.Err = fmt.Errorf("check failed on cached result: %w", cerr)
 			}
 		}
@@ -201,9 +202,13 @@ func (r *Runner) runOne(cfg *config.Config, e Experiment) Result {
 	opt.Seed = seed
 
 	start := time.Now() //lint:allow determinism wall time feeds the stderr Summary only, never the deterministic Report
-	f, err := e.Run(&c, opt)
+	var f *Figure
+	err := recovered(func() (err error) {
+		f, err = e.Run(&c, opt)
+		return err
+	})
 	if err == nil && r.Check && e.Check != nil {
-		if cerr := e.Check(&c, f); cerr != nil {
+		if cerr := recovered(func() error { return e.Check(&c, f) }); cerr != nil {
 			err = fmt.Errorf("check failed: %w", cerr)
 		}
 	}
@@ -234,6 +239,19 @@ func (r *Runner) runOne(cfg *config.Config, e Experiment) Result {
 		})
 	}
 	return res
+}
+
+// recovered calls fn and returns its error, or a panic inside fn as an
+// error carrying the panic value, so a panicking experiment fails alone
+// instead of taking down the process (gpunoc-server runs jobs through the
+// Runner).
+func recovered(fn func() error) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("panic: %v", v)
+		}
+	}()
+	return fn()
 }
 
 // Report renders the deterministic part of a result set: each successful

@@ -237,6 +237,48 @@ func TestRunnerCheckMode(t *testing.T) {
 	}
 }
 
+// TestRunnerRecoversPanic checks that a panicking experiment becomes its
+// own failed Result, carrying the panic value and leaving no cache entry,
+// while the other experiment of the run still reports its figure.
+func TestRunnerRecoversPanic(t *testing.T) {
+	reg := NewRegistry()
+	reg.MustRegister(Experiment{
+		ID: "boom", Order: 1,
+		Run: func(*config.Config, Options) (*Figure, error) { panic("index out of range [0] with length 0") },
+	})
+	reg.MustRegister(Experiment{
+		ID: "fine", Order: 2,
+		Run: func(*config.Config, Options) (*Figure, error) {
+			f := &Figure{ID: "fine", Title: "still reported"}
+			f.addSeries("s", []float64{0}, []float64{1})
+			return f, nil
+		},
+	})
+	cfg := smallCfg()
+	cache := &Cache{Dir: t.TempDir()}
+	r := Runner{Registry: reg, Parallel: 2, Options: quickOpts(), Cache: cache, ConfigName: "small"}
+	results, err := r.Run(&cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom, fine := results[0], results[1]
+	if boom.Err == nil || !strings.Contains(boom.Err.Error(), "index out of range [0] with length 0") {
+		t.Errorf("boom: err = %v, want the panic value", boom.Err)
+	}
+	if _, ok := cache.Get(NewCacheKey(&cfg, "small", r.Options, "boom")); ok {
+		t.Error("boom: a panicking run was cached")
+	}
+	if fine.Err != nil || fine.Figure == nil {
+		t.Fatalf("fine: err %v, figure %v", fine.Err, fine.Figure)
+	}
+	if _, ok := cache.Get(NewCacheKey(&cfg, "small", r.Options, "fine")); !ok {
+		t.Error("fine: the successful run was not cached")
+	}
+	if rep := Report(results); !strings.Contains(rep, "still reported") || !strings.Contains(rep, "FAILED boom: panic: ") {
+		t.Errorf("report lacks the figure or the failure:\n%s", rep)
+	}
+}
+
 // TestRunnerCollectsCycles runs one real experiment and verifies simulated
 // cycles are attributed, and that table1 (which builds no engine) reports 0.
 func TestRunnerCollectsCycles(t *testing.T) {

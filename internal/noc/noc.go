@@ -36,6 +36,9 @@ type Network struct {
 
 	// tpcSlot[t] is the input index of TPC t on its GPC mux.
 	tpcSlot []int
+	// gpcOfSM[sm] is the GPC housing SM sm, built once so a reply finds
+	// its GPC link without scanning the TPC slots (config.GPCOfSM does).
+	gpcOfSM []int
 
 	toSlice Deliver // request egress (the memory partition)
 	toSM    Deliver // reply egress (the SMs)
@@ -74,9 +77,13 @@ func New(cfg *config.Config, toSlice, toSM Deliver) (*Network, error) {
 
 	numTPC := cfg.NumTPCs()
 	n.tpcSlot = make([]int, numTPC)
+	n.gpcOfSM = make([]int, cfg.NumSMs())
 	for g := 0; g < cfg.NumGPCs; g++ {
 		for slot, t := range cfg.TPCsOfGPC(g) {
 			n.tpcSlot[t] = slot
+			for _, sm := range cfg.SMsOfTPC(t) {
+				n.gpcOfSM[sm] = g
+			}
 		}
 	}
 
@@ -222,9 +229,12 @@ func (n *Network) InjectReply(now uint64, p *packet.Packet) {
 	if p.Kind.IsRequest() {
 		panic(fmt.Sprintf("noc: injecting request on reply subnet: %v", p))
 	}
-	g := n.cfg.GPCOfSM(p.Tag.SM)
-	n.repGPC[g].Enqueue(now, p.Slice, p)
+	n.repGPC[n.gpcOfSM[p.Tag.SM]].Enqueue(now, p.Slice, p)
 }
+
+// GPCOfSM returns the GPC housing SM sm; it equals cfg.GPCOfSM(sm) but is
+// a table lookup.
+func (n *Network) GPCOfSM(sm int) int { return n.gpcOfSM[sm] }
 
 // Tick advances every link one cycle. Links are ticked leaf-to-root on the
 // request path and root-to-leaf on the reply path so a packet can traverse

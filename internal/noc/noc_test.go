@@ -48,6 +48,20 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestGPCOfSMMatchesConfig checks the table InjectReply routes by against
+// the config's slot scan, on both presets (Volta disables TPC slots, so its
+// GPCs are irregular).
+func TestGPCOfSMMatchesConfig(t *testing.T) {
+	for _, cfg := range []config.Config{config.Small(), config.Volta()} {
+		n, _, _ := mkNet(t, &cfg)
+		for sm := 0; sm < cfg.NumSMs(); sm++ {
+			if got, want := n.GPCOfSM(sm), cfg.GPCOfSM(sm); got != want {
+				t.Errorf("%s: SM%d in GPC%d, want GPC%d", cfg.Name, sm, got, want)
+			}
+		}
+	}
+}
+
 // TestRequestTraversal: a request injected at an SM reaches its destination
 // slice after the sum of hop latencies and serialization.
 func TestRequestTraversal(t *testing.T) {

@@ -20,8 +20,8 @@ type Activation struct {
 
 // Layout places the activated warps' streaming windows: warp w of SM s
 // streams from Base + (s*Slots + w%Slots)*Span, wrapping at 4 KB, and a run
-// preloads the NumSMs*Slots*Span bytes from Base so every window is
-// L2-resident.
+// preloads the first min(Span, 4 KB) of every slot an activated warp
+// streams, so every window it touches is L2-resident.
 type Layout struct {
 	Base  uint64
 	Slots int
@@ -49,8 +49,9 @@ type Bench struct {
 	// Spec is the kernel to launch; callers may rename it.
 	Spec device.KernelSpec
 
-	base, bytes uint64 // the preloaded window range
-	streams     []*timedStream
+	windows []uint64 // ascending base of every slot an activated warp streams
+	extent  uint64   // bytes each of them streams: min(Span, wrapBytes)
+	streams []*timedStream
 }
 
 // NewBench builds the Algorithm 1 kernel for acts on cfg's GPU.
@@ -71,7 +72,16 @@ func NewBench(cfg *config.Config, acts []Activation, lay Layout) (*Bench, error)
 		bySM[a.SM] = a
 		warps = max(warps, a.Warps)
 	}
-	b := &Bench{base: lay.Base, bytes: uint64(cfg.NumSMs()*lay.Slots) * lay.Span}
+	b := &Bench{extent: min(lay.Span, wrapBytes)}
+	for sm := 0; sm < cfg.NumSMs(); sm++ {
+		a, ok := bySM[sm]
+		if !ok || a.Ops <= 0 {
+			continue
+		}
+		for slot := 0; slot < min(a.Warps, lay.Slots); slot++ {
+			b.windows = append(b.windows, lay.Base+uint64(sm*lay.Slots+slot)*lay.Span)
+		}
+	}
 	b.Spec = device.KernelSpec{
 		Name:          "alg1",
 		Blocks:        cfg.NumSMs(),
@@ -85,12 +95,15 @@ func NewBench(cfg *config.Config, acts []Activation, lay Layout) (*Bench, error)
 	return b, nil
 }
 
-// Run preloads the windows into mem's L2, launches the kernel on dev, runs r
-// until every launched kernel has finished, and returns each activated SM's
-// time in cycles: that of its slowest warp. On one GPU, dev, mem and r are
-// the same device.
+// Run preloads the windows the activated warps stream into mem's L2, in
+// ascending address order, launches the kernel on dev, runs r until every
+// launched kernel has finished, and returns each activated SM's time in
+// cycles: that of its slowest warp. On one GPU, dev, mem and r are the same
+// device.
 func (b *Bench) Run(dev, mem *engine.GPU, r engine.KernelRunner) (map[int]uint64, error) {
-	mem.Preload(b.base, b.bytes)
+	for _, w := range b.windows {
+		mem.Preload(w, b.extent)
+	}
 	if _, err := dev.Launch(b.Spec); err != nil {
 		return nil, err
 	}

@@ -1,11 +1,13 @@
 package reveng
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"gpunoc/internal/config"
 	"gpunoc/internal/device"
+	"gpunoc/internal/engine"
 )
 
 // TestMeasurePinsTimes pins per-SM times of the Algorithm 1 kernel in both
@@ -141,6 +143,96 @@ func TestMeasureValidation(t *testing.T) {
 	} {
 		if _, err := Measure(&cfg, c.acts, c.lay); err == nil {
 			t.Errorf("%s should fail", c.name)
+		}
+	}
+}
+
+// TestBenchKeepsWindowsResident holds Layout's promise that every window an
+// activated warp streams is L2-resident. On Volta with eight warps per SM
+// (gpusim's -config volta -warps 8), preloading every SM's windows would
+// take 80 x 8 x 8 KB = 5 MiB, past the 4.5 MiB L2, and evict activated
+// windows; a run preloads only the activated ones and misses nothing.
+func TestBenchKeepsWindowsResident(t *testing.T) {
+	cfg := config.Volta()
+	acts := []Activation{{SM: 0, Ops: 20, Warps: 8, Write: true}, {SM: 1, Ops: 20, Warps: 8, Write: true}}
+	b, err := NewBench(&cfg, acts, WarpLayout(0, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := engine.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Run(g, g, g); err != nil {
+		t.Fatal(err)
+	}
+	if st := g.Partition().Stats(); st.Misses != 0 || st.Hits != st.Served || st.Served == 0 {
+		t.Errorf("L2 %+v, want every access a hit", st)
+	}
+}
+
+// TestPreloadOfIdleWindowsChangesNothing checks that skipping the idle SMs'
+// windows moves no time: on small, where every SM's windows fit the L2, a
+// run preceded by a preload of all of them (NumSMs*Slots*Span bytes from
+// Base) returns the same per-SM times as a plain Measure, for the
+// activation sets of fig2, fig5 and fig8 at quick scale.
+func TestPreloadOfIdleWindowsChangesNothing(t *testing.T) {
+	cfg := config.Small()
+	act := func(sm, ops int, write bool) Activation { return Activation{SM: sm, Ops: ops, Warps: 4, Write: write} }
+	type run struct {
+		name string
+		acts []Activation
+		lay  Layout
+	}
+	var runs []run
+	for other := 1; other < cfg.NumSMs(); other++ {
+		runs = append(runs, run{fmt.Sprintf("fig2 SM0+SM%d", other),
+			[]Activation{act(0, 8, true), act(other, 8, true)}, Layout{Slots: 2, Span: 4096}})
+	}
+	for _, write := range []bool{true, false} {
+		runs = append(runs, run{fmt.Sprintf("fig5 TPC write=%v", write),
+			[]Activation{act(0, 8, write), act(1, 24, write)}, WarpLayout(0, 4)})
+		gpc := cfg.TPCsOfGPC(0)
+		for n := 1; n <= len(gpc); n++ {
+			var acts []Activation
+			for _, tpc := range gpc[:n] {
+				ops := 24
+				if tpc == gpc[0] {
+					ops = 8
+				}
+				for _, sm := range cfg.SMsOfTPC(tpc) {
+					acts = append(acts, act(sm, ops, write))
+				}
+			}
+			runs = append(runs, run{fmt.Sprintf("fig5 GPC n=%d write=%v", n, write), acts, WarpLayout(0, 4)})
+		}
+	}
+	for _, contender := range []int{1, cfg.SMsOfTPC(1)[0]} {
+		for _, c := range []int{1, 2, 3, 4, 6, 7, 8, 9} {
+			runs = append(runs, run{fmt.Sprintf("fig8 SM%d ops=%d", contender, c),
+				[]Activation{act(0, 10, true), act(contender, c, true)}, WarpLayout(0, 4)})
+		}
+	}
+	for _, r := range runs {
+		got, err := Measure(&cfg, r.acts, r.lay)
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		b, err := NewBench(&cfg, r.acts, r.lay)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := engine.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.Preload(r.lay.Base, uint64(cfg.NumSMs()*r.lay.Slots)*r.lay.Span)
+		want, err := b.Run(g, g, g)
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: times %v, want %v as after a preload of every window", r.name, got, want)
 		}
 	}
 }

@@ -141,6 +141,9 @@ func GPCSweep(cfg *config.Config, refTPC int, opt GPCProbeOptions) ([]Fig3Point,
 	if refTPC < 0 || refTPC >= cfg.NumTPCs() {
 		return nil, fmt.Errorf("reveng: ref TPC %d out of range", refTPC)
 	}
+	if cfg.NumTPCs() < 2 {
+		return nil, fmt.Errorf("reveng: %d TPC(s) leave no probe TPC beside reference TPC %d", cfg.NumTPCs(), refTPC)
+	}
 	rng := rand.New(rand.NewSource(opt.Seed))
 	var points []Fig3Point
 	for probe := 0; probe < cfg.NumTPCs(); probe++ {
@@ -158,24 +161,17 @@ func GPCSweep(cfg *config.Config, refTPC int, opt GPCProbeOptions) ([]Fig3Point,
 			for len(active) < 2+background && len(active) < cfg.NumTPCs() {
 				active[rng.Intn(cfg.NumTPCs())] = true
 			}
-			var sms []int
-			for sm := 0; sm < cfg.NumSMs(); sm++ {
-				if active[cfg.TPCOfSM(sm)] {
-					sms = append(sms, sm)
+			var tpcs []int
+			for t := 0; t < cfg.NumTPCs(); t++ {
+				if active[t] {
+					tpcs = append(tpcs, t)
 				}
 			}
 			seedCfg := *cfg
 			seedCfg.Seed = cfg.Seed + int64(rep*1000+probe)
-			times, err := timeSMs(&seedCfg, sms, false, opt.Warps, opt.Ops)
+			t, err := refTime(&seedCfg, refTPC, tpcs, opt.Warps, opt.Ops)
 			if err != nil {
 				return nil, err
-			}
-			// The reference TPC's time = slowest of its two SMs.
-			var t uint64
-			for _, sm := range cfg.SMsOfTPC(refTPC) {
-				if times[sm] > t {
-					t = times[sm]
-				}
 			}
 			pt.Samples = append(pt.Samples, t)
 			sum += float64(t)
@@ -402,34 +398,32 @@ func TBProbe(cfg *config.Config, blocks int) ([]int, error) {
 // four-TPC co-activation test declares contention.
 const quadThreshold = 1.08
 
-// quadTest deterministically checks whether probe shares the reference's
-// GPC, given two TPCs (helpers) already known to be in that GPC: activating
-// four same-GPC TPC pairs oversubscribes the GPC reply channel while three
-// stay just under its speedup, so the reference's time jumps only when the
-// probe completes the quartet.
-func quadTest(cfg *config.Config, ref, h1, h2, probe int, warps, ops int) (bool, error) {
-	measure := func(tpcs []int) (uint64, error) {
-		var sms []int
-		for _, t := range tpcs {
-			sms = append(sms, cfg.SMsOfTPC(t)...)
-		}
-		times, err := timeSMs(cfg, sms, false, warps, ops)
-		if err != nil {
-			return 0, err
-		}
-		var t uint64
-		for _, sm := range cfg.SMsOfTPC(ref) {
-			if times[sm] > t {
-				t = times[sm]
-			}
-		}
-		return t, nil
+// refTime runs the Algorithm 1 read benchmark on both SMs of every TPC in
+// tpcs and returns ref's time: that of its slower SM.
+func refTime(cfg *config.Config, ref int, tpcs []int, warps, ops int) (uint64, error) {
+	var sms []int
+	for _, t := range tpcs {
+		sms = append(sms, cfg.SMsOfTPC(t)...)
 	}
-	base, err := measure([]int{ref, h1, h2})
+	times, err := timeSMs(cfg, sms, false, warps, ops)
 	if err != nil {
-		return false, err
+		return 0, err
 	}
-	with, err := measure([]int{ref, h1, h2, probe})
+	var t uint64
+	for _, sm := range cfg.SMsOfTPC(ref) {
+		t = max(t, times[sm])
+	}
+	return t, nil
+}
+
+// quadTest deterministically checks whether probe shares the reference's
+// GPC, given two TPCs (helpers) already known to be in that GPC and base,
+// ref's time beside the helpers alone: activating four same-GPC TPC pairs
+// oversubscribes the GPC reply channel while three stay just under its
+// speedup, so the reference's time jumps only when the probe completes the
+// quartet.
+func quadTest(cfg *config.Config, ref, h1, h2, probe int, base uint64, warps, ops int) (bool, error) {
+	with, err := refTime(cfg, ref, []int{ref, h1, h2, probe}, warps, ops)
 	if err != nil {
 		return false, err
 	}
@@ -445,7 +439,9 @@ func quadTest(cfg *config.Config, ref, h1, h2, probe int, warps, ops int) (bool,
 // verifies every remaining TPC with one deterministic quartet test each.
 // Irregular members (the spilled TPC39 of Fig 4) are caught by the
 // exhaustive verification; topologies whose GPCs hold fewer than four TPCs
-// fall back to the statistical grouping.
+// fall back to the statistical grouping. Each group's {ref, h1, h2}
+// baseline is timed once, by the stride test that found the helpers: runs
+// are deterministic, so every verification reuses it.
 func MapGPCsAdaptive(cfg *config.Config, opt GPCProbeOptions) ([][]int, error) {
 	opt.defaults()
 	assigned := make(map[int]bool)
@@ -458,18 +454,23 @@ func MapGPCsAdaptive(cfg *config.Config, opt GPCProbeOptions) ([][]int, error) {
 		var group []int
 		// Phase A: stride hypothesis search for two groupmates.
 		var h1, h2 int
+		var base uint64
 		found := false
 		for k := 1; !found && k <= n/3; k++ {
 			a, b, c := ref+k, ref+2*k, ref+3*k
 			if c >= n || assigned[a] || assigned[b] || assigned[c] {
 				continue
 			}
-			in, err := quadTest(cfg, ref, a, b, c, opt.Warps, opt.Ops)
+			t, err := refTime(cfg, ref, []int{ref, a, b}, opt.Warps, opt.Ops)
+			if err != nil {
+				return nil, err
+			}
+			in, err := quadTest(cfg, ref, a, b, c, t, opt.Warps, opt.Ops)
 			if err != nil {
 				return nil, err
 			}
 			if in {
-				h1, h2 = a, b
+				h1, h2, base = a, b, t
 				found = true
 			}
 		}
@@ -480,7 +481,7 @@ func MapGPCsAdaptive(cfg *config.Config, opt GPCProbeOptions) ([][]int, error) {
 				if assigned[probe] || probe == ref || probe == h1 || probe == h2 {
 					continue
 				}
-				in, err := quadTest(cfg, ref, h1, h2, probe, opt.Warps, opt.Ops)
+				in, err := quadTest(cfg, ref, h1, h2, probe, base, opt.Warps, opt.Ops)
 				if err != nil {
 					return nil, err
 				}

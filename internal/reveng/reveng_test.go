@@ -248,3 +248,24 @@ func TestMapGPCsAdaptiveSmallFallsBack(t *testing.T) {
 		}
 	}
 }
+
+// TestGPCSweepNeedsTwoTPCs: a one-TPC topology passes Validate but leaves
+// no probe TPC, so the sweep and both mappers return an error instead of
+// panicking on an empty point list.
+func TestGPCSweepNeedsTwoTPCs(t *testing.T) {
+	cfg := config.Small()
+	cfg.NumGPCs, cfg.MaxTPCsPerGPC = 1, 1
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("one-TPC config rejected: %v", err)
+	}
+	opt := GPCProbeOptions{Reps: 1, Background: -1}
+	if _, err := GPCSweep(&cfg, 0, opt); err == nil {
+		t.Error("GPCSweep: no error")
+	}
+	if _, err := MapGPCs(&cfg, opt, 0); err == nil {
+		t.Error("MapGPCs: no error")
+	}
+	if _, err := MapGPCsAdaptive(&cfg, opt); err == nil {
+		t.Error("MapGPCsAdaptive: no error")
+	}
+}
